@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +98,64 @@ def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _column_summary(header: list[str]) -> str:
+    """Column counts by name prefix, e.g. "8 params, 2 effect"."""
+    counts: dict[str, int] = {}
+    for name in header:
+        prefix = name.rsplit("_", 1)[0]
+        counts[prefix] = counts.get(prefix, 0) + 1
+    return ", ".join(f"{n} {prefix}" for prefix, n in counts.items()) or "none"
+
+
+def _load_test_goals(path: str, world) -> np.ndarray:
+    """The test database as a (goals x effect_dim) array of finite points."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file is an empty database
+            goals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read test database {path}: {exc}") from exc
+    if goals.size == 0:
+        return goals.reshape(0, world.effect_dim)
+    if goals.shape[1] != world.effect_dim:
+        raise ConfigError(
+            f"test database {path} has {goals.shape[1]} columns; goals in this world have {world.effect_dim}"
+        )
+    if not np.isfinite(goals).all():
+        raise ConfigError(f"test database {path} holds non-finite coordinates")
+    return goals
+
+
+def _load_memory(path: str, config: ExperimentConfig, world):
+    """The saved memory, after checking its columns against the config's world."""
+    if isinstance(world, ArmWorld):
+        kind = EvolvingMemory
+        options = dict(neighbors=config.regression_neighbors, support_radius=config.support_radius)
+    else:
+        kind = FixedMemory
+        options = dict(inverse_candidates=config.inverse_candidates, inverse_neighborhood=config.inverse_neighborhood)
+    expected = kind.csv_header(world.geometry.n_dof, world.effect_dim)
+    try:
+        with open(path, newline="") as f:
+            header = next(csv.reader(f), [])
+    except OSError as exc:
+        raise ConfigError(f"cannot read memory {path}: {exc}") from exc
+    if header != expected:
+        raise ConfigError(
+            f"memory {path} has columns {_column_summary(header)}; "
+            f"the config's world needs {_column_summary(expected)}"
+        )
+    try:
+        return kind.load_csv(path, **options)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read memory {path}: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed, budget=args.budget)
     out = _out_dir(args.out, f"{Path(args.config).stem}_seed{config.seed}")
     checkpoints = _parse_int_list(args.checkpoints) if args.checkpoints else [config.budget]
-    test_goals = np.loadtxt(args.testdb, delimiter=",", skiprows=1, ndmin=2) if args.testdb else None
+    test_goals = _load_test_goals(args.testdb, config.build_world()) if args.testdb else None
     log, memory = run_with_memory(config, checkpoints=checkpoints, test_goals=test_goals)
     out.mkdir(parents=True, exist_ok=True)
     write_run_outputs(log, out)
@@ -114,17 +168,8 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     world = config.build_world()
-    if isinstance(world, ArmWorld):
-        memory = EvolvingMemory.load_csv(
-            args.memory, neighbors=config.regression_neighbors, support_radius=config.support_radius
-        )
-    else:
-        memory = FixedMemory.load_csv(
-            args.memory,
-            inverse_candidates=config.inverse_candidates,
-            inverse_neighborhood=config.inverse_neighborhood,
-        )
-    goals = np.loadtxt(args.testdb, delimiter=",", skiprows=1, ndmin=2)
+    goals = _load_test_goals(args.testdb, world)
+    memory = _load_memory(args.memory, config, world)
     error = evaluate(memory, world, goals, config)
     print(repr(error))
     return 0

@@ -39,6 +39,14 @@ def scaled_distance(a: np.ndarray, b: np.ndarray, cfg: CompetenceConfig) -> floa
     return math.sqrt(float(d @ d))
 
 
+def scaled_distances(a: np.ndarray, b: np.ndarray, cfg: CompetenceConfig) -> np.ndarray:
+    """``scaled_distance`` between matching rows of `a` and `b`, bit for bit."""
+    d = a - b
+    if cfg.dim_scales is not None:
+        d = d * cfg.dim_scales
+    return np.sqrt(np.vecdot(d, d))
+
+
 def competence_normalized(
     goal: np.ndarray, final: np.ndarray, start: np.ndarray, cfg: CompetenceConfig
 ) -> float:

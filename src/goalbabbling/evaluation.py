@@ -12,11 +12,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import mannwhitneyu
 
 from .competence import CompetenceConfig
 from .config import ExperimentConfig
-from .explorers import ReachingBudget, reach_evolving
+# `reach_evolving` stays importable from this module, where the benchmark's
+# tracer wraps it by name; evaluation itself reaches in lockstep.
+from .explorers import ReachingBudget, reach_evolving, reach_evolving_lockstep  # noqa: F401
 from .kinematics import ArmWorld
 from .experiment import RunLog, run_experiment
 
@@ -119,22 +120,26 @@ def exploitation_budget(config: ExperimentConfig) -> ReachingBudget:
     )
 
 
+def exploitation_competence(config: ExperimentConfig) -> CompetenceConfig:
+    """Competence for exploitation reaches, which run to their full step
+    budget: the learner's own "reached" tolerance is a training shortcut
+    and must not cap the measured accuracy."""
+    return dataclasses.replace(_competence(config), reached_tolerance=-1e-12)
+
+
 def evaluate(memory, world, goals: np.ndarray, config: ExperimentConfig) -> float:
     """Mean Euclidean reaching error from rest over the test goals.
 
-    Exploitation reaches run to their full step budget: the learner's own
-    "reached" tolerance is a training shortcut and must not cap the
-    measured accuracy.
+    On the arm every goal is reached for in lockstep; each final position
+    equals that of ``reach_evolving(..., learn=False)`` under
+    ``exploitation_budget``.
     """
-    competence = dataclasses.replace(_competence(config), reached_tolerance=-1e-12)
+    competence = exploitation_competence(config)
     if isinstance(world, ArmWorld):
-        budget = exploitation_budget(config)
-        errors = []
-        for goal in goals:
-            outcome = reach_evolving(
-                world, memory, world.rest_state(), goal, budget, competence, learn=False
-            )
-            errors.append(_distance(outcome.final, goal))
+        outcomes = reach_evolving_lockstep(
+            world, memory, world.rest_state(), goals, exploitation_budget(config), competence
+        )
+        errors = [_distance(outcome.final, goal) for outcome, goal in zip(outcomes, goals)]
     else:
         errors = []
         for goal in goals:
@@ -191,6 +196,9 @@ def compare_strategies(
     Results are independent of `n_jobs`; runs are keyed by (strategy, seed)
     and aggregated in sorted order.
     """
+    # scipy.stats takes about a second to import; only comparisons need it.
+    from scipy.stats import mannwhitneyu
+
     if len(configs) < 2:
         raise ValueError("need at least two strategies to compare")
     if len(set(c.strategy for c in configs)) != len(configs):

@@ -336,38 +336,57 @@ class ActuatorRiacPolicy:
             split_candidates=split_candidates,
         )
         self.rng = rng
+        # Every leaf in depth-first (left-to-right) order, with its interest
+        # and, one column per leaf, the half-open box [low, high) of states
+        # that the splits above it admit (the outer bounds of the space admit
+        # every state).  Only `observe` changes the tree, and it keeps these
+        # in step.
+        self._ordered = [self.tree.root]
+        self._interests = np.array([self.tree.root.interest])
+        self._state_low = np.full((self.state_dim, 1), -np.inf)
+        self._state_high = np.full((self.state_dim, 1), np.inf)
 
-    def _candidate_leaves(self, state: np.ndarray | None) -> list:
-        if state is None:
-            return self.tree.leaves()
-        leaves = []
-        stack = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves.append(node)
-            elif node.split_dim < self.state_dim:
-                stack.append(node.left if state[node.split_dim] < node.split_value else node.right)
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        leaves.reverse()  # restore deterministic left-to-right order
-        return leaves
+    def _admitted(self, state: np.ndarray) -> np.ndarray:
+        """Positions in depth-first order of the leaves a descent reaches
+        when it follows `state` at state-space splits and takes both sides
+        of the other splits."""
+        state = state[:, None]
+        admits = (self._state_low <= state) & (state < self._state_high)
+        return np.flatnonzero(np.logical_and.reduce(admits, axis=0))
 
     def choose_point(self, state: np.ndarray | None = None) -> np.ndarray:
         """Sample an input-space point; `state` constrains the leading dims."""
-        leaves = self._candidate_leaves(state)
-        interests = np.array([leaf.interest for leaf in leaves])
+        if state is None:
+            leaves = self.tree.leaves()
+            interests = np.array([leaf.interest for leaf in leaves])
+        else:
+            admitted = self._admitted(state)
+            interests = self._interests[admitted]
         weights = interests - interests.min()
         total = weights.sum()
         if total <= 0.0:
-            leaf = leaves[self.rng.integers(len(leaves))]
+            pick = self.rng.integers(len(interests))
         else:
-            leaf = leaves[self.rng.choice(len(leaves), p=weights / total)]
+            pick = self.rng.choice(len(interests), p=weights / total)
+        leaf = leaves[pick] if state is None else self._ordered[admitted[pick]]
         return leaf.bounds.sample(self.rng)
 
     def observe(self, point: np.ndarray, error: float) -> None:
-        self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
+        leaf = self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
+        i = self._ordered.index(leaf)
+        if leaf.is_leaf:
+            self._interests[i] = leaf.interest
+            return
+        # The leaf split: its children take its place, left first.
+        low, high = self._state_low[:, i], self._state_high[:, i]
+        left_high, right_low = high.copy(), low.copy()
+        if leaf.split_dim < self.state_dim:
+            left_high[leaf.split_dim] = right_low[leaf.split_dim] = leaf.split_value
+        self._ordered[i : i + 1] = [leaf.left, leaf.right]
+        self._interests = np.insert(self._interests, i + 1, leaf.right.interest)
+        self._interests[i] = leaf.left.interest
+        self._state_low = np.insert(self._state_low, i + 1, right_low, axis=1)
+        self._state_high = np.insert(self._state_high, i, left_high, axis=1)
 
 
 # ---------------------------------------------------------------------- episodic map

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .competence import CompetenceConfig, clip_to_gamma, competence_normalized, scaled_distance
-from .kinematics import ArmWorld, SynergyWorld
+from .competence import CompetenceConfig, clip_to_gamma, competence_normalized, scaled_distance, scaled_distances
+from .kinematics import ArmWorld, SynergyWorld, forward_kinematics_many
 from .memory import EvolvingMemory, FixedMemory
 
 REACHED = "reached"
@@ -184,6 +184,95 @@ def reach_evolving(
 
     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
     return ReachOutcome(goal, current, gamma, steps, TIMEOUT, alpha.copy())
+
+
+def reach_evolving_lockstep(
+    world: ArmWorld,
+    memory: EvolvingMemory,
+    alpha: np.ndarray,
+    goals: np.ndarray,
+    budget: ReachingBudget,
+    competence: CompetenceConfig,
+) -> list[ReachOutcome]:
+    """``reach_evolving(..., learn=False)`` from `alpha` toward every row of
+    `goals`, advancing all unfinished reaches by one micro-action per round.
+
+    Pure exploitation only: ``explore_actions`` must be 0 and
+    ``blocking_window`` positive, so no random number is drawn and the
+    reaches are independent.  Each outcome equals the one
+    ``reach_evolving`` returns for its goal, bit for bit.
+    """
+    if budget.explore_actions or not budget.blocking_window:
+        raise ValueError("lockstep reaching needs explore_actions=0 and blocking_window>=1")
+    goals = np.asarray(goals, dtype=float)
+    count = goals.shape[0]
+    if count == 0:
+        return []
+    start = world.forward(alpha)
+    alphas = np.tile(alpha, (count, 1))
+    currents = np.tile(start, (count, 1))
+    steps = np.zeros(count, dtype=int)
+    ends = np.full(count, TIMEOUT, dtype=object)
+    start_distance = scaled_distances(start, goals, competence)
+    caps = np.array([budget.max_steps(float(d)) for d in start_distance], dtype=int)
+    distance = np.sqrt(np.vecdot(currents - goals, currents - goals))
+    best = distance.copy()
+    last_mark = distance.copy()
+    stalled = np.zeros(count, dtype=int)
+    # A goal within min_start_distance of the start scores 0 at once.
+    at_start = start_distance < competence.min_start_distance
+    ends[at_start] = REACHED
+    active = np.flatnonzero(~at_start)
+    low, high = world.geometry.joint_low, world.geometry.joint_high
+
+    while True:
+        active = active[steps[active] < caps[active]]
+        if not active.size:
+            break
+        pinvs, fitted = memory.local_pseudo_inverses(alphas[active])
+        explore = ~fitted
+        done = np.zeros(active.size, dtype=bool)
+        moving = active[fitted]
+        if moving.size:
+            goal, current, d = goals[moving], currents[moving], distance[moving]
+            desired = (goal - current) * (np.minimum(budget.velocity, d) / d)[:, None]
+            delta = (pinvs[fitted] @ desired[:, :, None])[:, :, 0]
+            norm = np.sqrt(np.vecdot(delta, delta))
+            over = norm > world.max_action_norm
+            delta[over] *= (world.max_action_norm / norm[over])[:, None]
+            alphas[moving] = np.clip(alphas[moving] + delta, low, high)
+            after = forward_kinematics_many(world.geometry, alphas[moving])
+            currents[moving] = after
+            steps[moving] += 1
+            d = np.sqrt(np.vecdot(after - goal, after - goal))
+            distance[moving] = d
+            best[moving] = np.where(d < best[moving], d, best[moving])
+            final_distance = scaled_distances(goal, after, competence)
+            c = np.where(
+                final_distance > start_distance[moving], -1.0, -final_distance / start_distance[moving]
+            )
+            reached = ~(c <= competence.reached_tolerance)
+            miss = after - current - desired
+            done[fitted] = reached
+            explore[fitted] = ~reached & (np.sqrt(np.vecdot(miss, miss)) > budget.prediction_error_max)
+            ends[moving[reached]] = REACHED
+        exploring = active[explore]
+        stalled[exploring] = np.where(
+            best[exploring] >= last_mark[exploring] - _PROGRESS_TOLERANCE, stalled[exploring] + 1, 0
+        )
+        last_mark[exploring] = best[exploring]
+        blocked = stalled[exploring] >= budget.blocking_window
+        done[explore] = blocked
+        ends[exploring[blocked]] = BLOCKED
+        active = active[~done]
+
+    outcomes = []
+    for i in range(count):
+        gamma = 0.0
+        if ends[i] != REACHED:
+            gamma = clip_to_gamma(competence_normalized(goals[i], currents[i], start, competence), competence)
+        outcomes.append(ReachOutcome(goals[i], currents[i], gamma, int(steps[i]), ends[i], alphas[i]))
+    return outcomes
 
 
 def reach_fixed(

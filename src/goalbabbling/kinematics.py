@@ -79,6 +79,18 @@ def forward_kinematics(geometry: ArmGeometry, alpha: np.ndarray) -> np.ndarray:
     return np.array([float(lengths @ np.cos(acc)), float(lengths @ np.sin(acc))])
 
 
+def forward_kinematics_many(geometry: ArmGeometry, alphas: np.ndarray) -> np.ndarray:
+    """End-effector positions (rows x 2) for every row of joint angles.
+
+    Row i equals ``forward_kinematics(geometry, alphas[i])`` bit for bit:
+    ``np.vecdot`` runs the same inner product as the 1-d ``@``, whereas a
+    matrix-vector product sums in another order.
+    """
+    acc = np.cumsum(alphas, axis=1)
+    lengths = geometry.link_lengths
+    return np.stack([np.vecdot(np.cos(acc), lengths), np.vecdot(np.sin(acc), lengths)], axis=1)
+
+
 @dataclass(frozen=True)
 class StepResult:
     """One micro-action: new joint state plus effector position before/after."""

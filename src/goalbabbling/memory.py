@@ -21,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+# Keys per tail scan in `NearestIndex.query_many`.
+_TAIL_CHUNK = 8
+
 
 class EmptyMemoryError(RuntimeError):
     """Raised when a nearest-neighbor query hits an empty memory."""
@@ -35,18 +38,36 @@ class SensorimotorEntry:
     effect: np.ndarray
 
 
-@dataclass(frozen=True)
 class LocalLinearModel:
     """A local linear map with its Moore-Penrose pseudo-inverse.
 
     ``jacobian`` maps action/parameter changes to effect changes (m x n);
     ``pseudo_inverse`` maps the other way (n x m).  The pair satisfies the
-    Moore-Penrose identities to numerical precision.
+    Moore-Penrose identities to numerical precision.  A model may be built
+    from one side alone; the other is computed with ``np.linalg.pinv`` when
+    first read, so callers that use one side do not pay for the other.
     """
 
-    jacobian: np.ndarray
-    pseudo_inverse: np.ndarray
-    support_size: int
+    __slots__ = ("_jacobian", "_pseudo_inverse", "support_size")
+
+    def __init__(self, jacobian: np.ndarray | None, pseudo_inverse: np.ndarray | None, support_size: int):
+        if jacobian is None and pseudo_inverse is None:
+            raise ValueError("a local model needs its map or its pseudo-inverse")
+        self._jacobian = jacobian
+        self._pseudo_inverse = pseudo_inverse
+        self.support_size = support_size
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        if self._jacobian is None:
+            self._jacobian = np.linalg.pinv(self._pseudo_inverse)
+        return self._jacobian
+
+    @property
+    def pseudo_inverse(self) -> np.ndarray:
+        if self._pseudo_inverse is None:
+            self._pseudo_inverse = np.linalg.pinv(self._jacobian)
+        return self._pseudo_inverse
 
 
 class NearestIndex:
@@ -108,17 +129,71 @@ class NearestIndex:
         order = np.argsort(dist, kind="stable")[:k_eff]
         return idx[order], dist[order]
 
+    def query_many(self, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i equals ``query(keys[i], k)``: one tree call for all keys.
+
+        The tail is scanned a few keys at a time, so the (keys x tail x dim)
+        difference array never gets large.
+        """
+        if self._n == 0:
+            raise EmptyMemoryError("nearest-neighbor query on empty memory")
+        rows = keys.shape[0]
+        k_eff = min(k, self._n)
+        tail = self._rows[self._tree_n : self._n]
+        cand_idx: list[np.ndarray] = []
+        cand_dist: list[np.ndarray] = []
+        if self._tree is not None:
+            kt = min(k_eff, self._tree_n)
+            dist, idx = self._tree.query(keys, k=kt, eps=self.eps)
+            cand_idx.append(idx.reshape(rows, kt).astype(np.intp))
+            cand_dist.append(dist.reshape(rows, kt))
+        if tail.shape[0]:
+            d2 = np.empty((rows, tail.shape[0]))
+            for lo in range(0, rows, _TAIL_CHUNK):
+                diff = tail - keys[lo : lo + _TAIL_CHUNK, None]
+                d2[lo : lo + _TAIL_CHUNK] = np.einsum("gij,gij->gi", diff, diff)
+            order = _smallest_stable(d2, min(k_eff, tail.shape[0]))
+            cand_idx.append(order + self._tree_n)
+            cand_dist.append(np.sqrt(np.take_along_axis(d2, order, axis=1)))
+        idx = np.concatenate(cand_idx, axis=1)
+        dist = np.concatenate(cand_dist, axis=1)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
+        return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dist, order, axis=1)
+
+
+def _smallest_stable(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows: partition, then sort the k picked per row.
+
+    A row whose ties at the k-th value straddle the cut (or that holds NaN
+    there) may have had other tied indices picked, and is sorted in full.
+    """
+    if k >= values.shape[1]:
+        return np.argsort(values, axis=1, kind="stable")
+    picked = np.argpartition(values, k - 1, axis=1)[:, :k]
+    picked.sort(axis=1)  # index order, so the stable sort breaks ties by index
+    picked_values = np.take_along_axis(values, picked, axis=1)
+    order = np.take_along_axis(picked, np.argsort(picked_values, axis=1, kind="stable"), axis=1)
+    kth = picked_values.max(axis=1)
+    redo = (np.count_nonzero(values <= kth[:, None], axis=1) > k) | np.isnan(kth)
+    if redo.any():
+        order[redo] = np.argsort(values[redo], axis=1, kind="stable")[:, :k]
+    return order
+
 
 def _fit_ridge(actions: np.ndarray, effects: np.ndarray, ridge: float) -> np.ndarray:
     """Least-squares fit of effects ~ J @ actions, ridge-stabilized.
 
-    Returns J with shape (effect_dim, action_dim).  The ridge term keeps
-    rank-deficient neighborhoods (e.g. collinear probes) solvable.
+    Returns J with shape (effect_dim, action_dim), or a stack of them for
+    stacked neighbourhoods.  The ridge term keeps rank-deficient
+    neighborhoods (e.g. collinear probes) solvable.
     """
-    gram = actions.T @ actions
-    gram[np.diag_indices_from(gram)] += ridge
-    coef = np.linalg.solve(gram, actions.T @ effects)
-    return coef.T
+    actions_t = np.swapaxes(actions, -1, -2)
+    gram = actions_t @ actions
+    diag = np.arange(gram.shape[-1])
+    gram[..., diag, diag] += ridge
+    coef = np.linalg.solve(gram, actions_t @ effects)
+    return np.swapaxes(coef, -1, -2)
 
 
 class EvolvingMemory:
@@ -184,14 +259,41 @@ class EvolvingMemory:
         if keep.shape[0] < self.min_support:
             return None
         jac = _fit_ridge(self._actions[keep], self._effects[keep], self.ridge)
-        return LocalLinearModel(jac, np.linalg.pinv(jac), keep.shape[0])
+        return LocalLinearModel(jac, None, keep.shape[0])
+
+    def local_pseudo_inverses(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pseudo-inverses of the local Jacobians around every row of
+        `contexts`, each bit-identical to ``local_jacobian(row).pseudo_inverse``.
+
+        Returns the (rows x context_dim x effect_dim) stack and a mask of the
+        rows whose fit had enough support; the other rows stay zero.  Rows
+        with the same support size are fitted as one stack.
+        """
+        pinvs = np.zeros((contexts.shape[0], self.context_dim, self.effect_dim))
+        if len(self) == 0:
+            return pinvs, np.zeros(contexts.shape[0], dtype=bool)
+        idx, dist = self._index.query_many(contexts, self.neighbors)
+        # Distances ascend, so the kept neighbours are a prefix of each row.
+        support = np.count_nonzero(dist <= self.support_radius, axis=1)
+        fitted = support >= self.min_support
+        for size in np.unique(support[fitted]):
+            group = np.flatnonzero(support == size)
+            keep = idx[group, :size]
+            pinvs[group] = np.linalg.pinv(_fit_ridge(self._actions[keep], self._effects[keep], self.ridge))
+        return pinvs, fitted
+
+    @staticmethod
+    def csv_header(context_dim: int, effect_dim: int) -> list[str]:
+        return (
+            [f"context_{i}" for i in range(context_dim)]
+            + [f"action_{i}" for i in range(context_dim)]
+            + [f"effect_{i}" for i in range(effect_dim)]
+        )
 
     def dump_csv(self, path) -> None:
         _dump_csv(
             path,
-            [f"context_{i}" for i in range(self.context_dim)]
-            + [f"action_{i}" for i in range(self.context_dim)]
-            + [f"effect_{i}" for i in range(self.effect_dim)],
+            self.csv_header(self.context_dim, self.effect_dim),
             np.hstack([self._index.points, self._actions[: len(self)], self._effects[: len(self)]]),
         )
 
@@ -299,15 +401,15 @@ class FixedMemory:
             coef, *_ = np.linalg.lstsq(chosen_effects - effect_center, chosen_params - param_center, rcond=None)
             inverse = coef.T
         predicted = param_center + inverse @ (goal - effect_center)
-        model = LocalLinearModel(np.linalg.pinv(inverse), inverse, best_set.shape[0])
+        model = LocalLinearModel(None, inverse, best_set.shape[0])
         return predicted, model
 
+    @staticmethod
+    def csv_header(param_dim: int, effect_dim: int) -> list[str]:
+        return [f"params_{i}" for i in range(param_dim)] + [f"effect_{i}" for i in range(effect_dim)]
+
     def dump_csv(self, path) -> None:
-        _dump_csv(
-            path,
-            [f"params_{i}" for i in range(self.param_dim)] + [f"effect_{i}" for i in range(self.effect_dim)],
-            np.hstack([self.params, self.effects]),
-        )
+        _dump_csv(path, self.csv_header(self.param_dim, self.effect_dim), np.hstack([self.params, self.effects]))
 
     @classmethod
     def load_csv(cls, path, **kwargs) -> "FixedMemory":

@@ -57,6 +57,20 @@ def interest_of(gammas, window: int) -> float:
     return abs(sum(tail[:half]) - sum(tail[len(tail) - half :])) / window
 
 
+def _interests_of_subsets(members: np.ndarray, gammas: np.ndarray, window: int) -> np.ndarray:
+    """``interest_of(gammas[row])`` for every boolean row of `members`, bit
+    for bit: each half of a window is summed one score at a time, oldest
+    first, as ``interest_of`` sums it."""
+    rank = np.cumsum(members[:, ::-1], axis=1)[:, ::-1]  # 1 for a row's newest member
+    length = np.minimum(members.sum(axis=1), window)[:, None]
+    half = length // 2
+    older = members & (rank > length - half) & (rank <= length)
+    newer = members & (rank <= half)
+    older_sum = np.cumsum(np.where(older, gammas, 0.0), axis=1)[:, -1]
+    newer_sum = np.cumsum(np.where(newer, gammas, 0.0), axis=1)[:, -1]
+    return np.abs(older_sum - newer_sum) / window
+
+
 @dataclass(eq=False)
 class Region:
     bounds: Box
@@ -184,9 +198,7 @@ class RegionTree:
         for _ in range(self.split_retries):
             dims = self.rng.integers(0, dim, size=self.split_candidates)
             values = low[dims] + self.rng.random(self.split_candidates) * (high[dims] - low[dims])
-            candidates = [
-                self._score_candidate(int(j), float(v), positions, gammas) for j, v in zip(dims, values)
-            ]
+            candidates = self._score_candidates(dims, values, positions, gammas)
             if self.split_log is not None:
                 logged.extend(candidates)
             best = max(candidates, key=lambda c: (c.quality, c.n_left * c.n_right))
@@ -198,7 +210,7 @@ class RegionTree:
             # the widest dimension, or give up on fully degenerate data.
             j = int(np.argmax(high - low))
             v = float(np.median(positions[:, j]))
-            chosen = self._score_candidate(j, v, positions, gammas)
+            chosen = self._score_candidates(np.array([j]), np.array([v]), positions, gammas)[0]
             if not (chosen.n_left and chosen.n_right):
                 return
         if self.split_log is not None:
@@ -223,18 +235,25 @@ class RegionTree:
         self._leaves[self._leaves.index(leaf)] = left
         self._leaves.append(right)
 
-    def _score_candidate(self, j: int, v: float, positions: np.ndarray, gammas: np.ndarray) -> SplitCandidate:
-        mask = positions[:, j] < v
-        n_left = int(mask.sum())
-        n_right = mask.shape[0] - n_left
-        if n_left == 0 or n_right == 0:
-            return SplitCandidate(j, v, 0.0, n_left, n_right)
-        quality = (
-            n_left
-            * n_right
-            * abs(interest_of(gammas[mask], self.window) - interest_of(gammas[~mask], self.window))
-        )
-        return SplitCandidate(j, v, quality, n_left, n_right)
+    def _score_candidates(
+        self, dims: np.ndarray, values: np.ndarray, positions: np.ndarray, gammas: np.ndarray
+    ) -> list[SplitCandidate]:
+        """Score the cuts ``position[dims[c]] < values[c]`` of the records.
+
+        A cut scores ``n_left * n_right * |interest(left) - interest(right)|``,
+        or 0 when it leaves a side empty.
+        """
+        left = positions[:, dims].T < values[:, None]  # cuts x records
+        n_left = left.sum(axis=1)
+        n_right = left.shape[1] - n_left
+        left_interest = _interests_of_subsets(left, gammas, self.window)
+        right_interest = _interests_of_subsets(~left, gammas, self.window)
+        gap = np.abs(left_interest - right_interest)
+        quality = np.where((n_left > 0) & (n_right > 0), n_left * n_right * gap, 0.0)
+        return [
+            SplitCandidate(j, v, q, a, b)
+            for j, v, q, a, b in zip(dims.tolist(), values.tolist(), quality.tolist(), n_left.tolist(), n_right.tolist())
+        ]
 
     # ------------------------------------------------------------------ selection
 

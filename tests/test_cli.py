@@ -84,6 +84,40 @@ def test_testdb_and_eval_round_trip(demo_config, tmp_path, capsys):
     assert float(printed) >= 0.0
 
 
+def test_eval_rejects_test_db_with_wrong_columns(demo_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(demo_config), "--out", str(out), "--budget", "50"]) == 0
+    db = tmp_path / "db.csv"
+    db.write_text("x,y,z\n1.0,2.0,3.0\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(demo_config), "--memory", str(out / "memory.csv"), "--testdb", str(db)]) == 1
+    assert "has 3 columns" in capsys.readouterr().err
+    db.write_text("x,y\n1.0,nan\n")
+    assert main(["eval", "--config", str(demo_config), "--memory", str(out / "memory.csv"), "--testdb", str(db)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_eval_rejects_memory_of_another_world(demo_config, tmp_path, capsys):
+    out = tmp_path / "map"
+    map_config = bundled_config_path("map8_mid")
+    assert main(["run", "--config", str(map_config), "--out", str(out), "--budget", "50"]) == 0
+    db = tmp_path / "db.csv"
+    assert main(["testdb", "--config", str(demo_config), "--count", "5", "--seed", "77", "--out", str(db)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(demo_config), "--memory", str(out / "memory.csv"), "--testdb", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert "8 params, 2 effect" in err and "2 context, 2 action, 2 effect" in err
+
+
+def test_run_checks_test_db_before_training(demo_config, tmp_path, capsys):
+    db = tmp_path / "db.csv"
+    db.write_text("x,y,z\n1.0,2.0,3.0\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(demo_config), "--out", str(out), "--testdb", str(db)]) == 1
+    assert "has 3 columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_regions_validates_and_reemits(demo_config, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", str(demo_config), "--out", str(out), "--checkpoints", "100,400"]) == 0

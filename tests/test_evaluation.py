@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from goalbabbling.config import EnvironmentSpec, ExperimentConfig
+from goalbabbling.config import EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
 from goalbabbling.evaluation import (
     compare_strategies,
     evaluate,
+    exploitation_budget,
+    exploitation_competence,
     make_test_db,
     reachable_fraction,
 )
 from goalbabbling.experiment import GoalEvent, RunLog, run_with_memory
+from goalbabbling.explorers import reach_evolving, reach_evolving_lockstep
 from goalbabbling.memory import EvolvingMemory
 
 
@@ -110,10 +113,61 @@ def test_evaluation_leaves_memory_untouched():
     goals = make_test_db(world, 20, seed=6)
     _, memory = run_with_memory(config)
     size = len(memory)
-    snapshot = memory._index.points.copy()
+    arrays = [memory._index._rows.copy(), memory._actions.copy(), memory._effects.copy()]
+    tree, tree_n = memory._index._tree, memory._index._tree_n
     evaluate(memory, world, goals, config)
     assert len(memory) == size
-    np.testing.assert_array_equal(memory._index.points, snapshot)
+    for before, after in zip(arrays, [memory._index._rows, memory._actions, memory._effects]):
+        np.testing.assert_array_equal(after, before)
+    assert memory._index._tree is tree
+    assert memory._index._tree_n == tree_n
+
+
+def _memory_prefix(memory: EvolvingMemory, size: int) -> EvolvingMemory:
+    """A memory holding the first `size` exemplars of `memory`."""
+    prefix = EvolvingMemory(
+        memory.context_dim, memory.effect_dim, neighbors=memory.neighbors, support_radius=memory.support_radius
+    )
+    for i in range(size):
+        prefix.insert(memory._index.points[i], memory._actions[i], memory._effects[i])
+    return prefix
+
+
+@pytest.mark.parametrize("name", ["arm2_demo", "arm15_mid", "arm15_big"])
+def test_lockstep_evaluation_equals_per_goal_reaches_bitwise(name):
+    config = load_config(bundled_config_path(name), seed=3, budget=1300)
+    world = config.build_world()
+    _, trained = run_with_memory(config)
+    goals = np.vstack(
+        [make_test_db(world, 25, seed=8), world.rest_effector(), [1.5 * world.reach_radius, 0.0]]
+    )
+    budget = exploitation_budget(config)
+    competence = exploitation_competence(config)
+    # Empty; tail only; tree only with an empty tail; tree plus tail.
+    for size in (0, 300, 1024, 1300):
+        memory = _memory_prefix(trained, size)
+        outcomes = reach_evolving_lockstep(world, memory, world.rest_state(), goals, budget, competence)
+        errors = []
+        for goal, outcome in zip(goals, outcomes):
+            expected = reach_evolving(world, memory, world.rest_state(), goal, budget, competence, learn=False)
+            assert np.array_equal(outcome.final, expected.final)
+            assert np.array_equal(outcome.final_state, expected.final_state)
+            assert outcome.gamma == expected.gamma
+            assert outcome.micro_actions_used == expected.micro_actions_used
+            assert outcome.terminated_by == expected.terminated_by
+            errors.append(float(np.sqrt((expected.final - goal) @ (expected.final - goal))))
+        assert outcomes[-2].terminated_by == "reached" and outcomes[-2].micro_actions_used == 0
+        assert evaluate(memory, world, goals, config) == float(np.mean(errors))
+
+
+def test_lockstep_reaching_rejects_exploration_budgets():
+    config = arm_config()
+    world = config.build_world()
+    budget = dataclasses.replace(exploitation_budget(config), explore_actions=5)
+    with pytest.raises(ValueError):
+        reach_evolving_lockstep(
+            world, EvolvingMemory(2, 2), world.rest_state(), np.zeros((1, 2)), budget, exploitation_competence(config)
+        )
 
 
 def test_trained_two_dof_arm_reaches_below_one_unit():

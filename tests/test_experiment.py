@@ -199,6 +199,43 @@ def test_actuator_riac_selections_track_progress_halfspace():
     assert (picks[:, 0] > 0).mean() >= 0.6
 
 
+def _walk_candidate_leaves(policy, state):
+    """Reference filter: a depth-first descent that follows `state` at
+    state-space splits and takes both sides of the other splits."""
+    leaves, stack = [], [policy.tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        elif node.split_dim < policy.state_dim:
+            stack.append(node.left if state[node.split_dim] < node.split_value else node.right)
+        else:
+            stack.extend([node.left, node.right])
+    return leaves[::-1]
+
+
+def test_actuator_riac_leaf_filter_matches_tree_descent():
+    low, high = np.array([-1.0, -1.0, -0.1, -0.1]), np.array([1.0, 1.0, 0.1, 0.1])
+    policy = ActuatorRiacPolicy(
+        Box(low, high), state_dim=2, window=6, capacity=5, split_candidates=10, rng=np.random.default_rng(5)
+    )
+    feed = np.random.default_rng(6)
+    for _ in range(800):
+        policy.observe(policy.tree.bounds.sample(feed), float(feed.random()))
+    assert len(policy._ordered) == len(policy.tree.leaves()) > 50
+    splits = [node for node in policy._ordered if node.depth > 0]
+    assert any(node.bounds.low[0] > -1.0 for node in splits)
+    np.testing.assert_array_equal(policy._interests, [leaf.interest for leaf in policy._ordered])
+    # Random states, the outer corners (joint clamping reaches the upper
+    # bound exactly) and states lying exactly on split values.
+    states = list(feed.uniform(-1.0, 1.0, size=(200, 2))) + [low[:2], high[:2], np.array([1.0, -1.0])]
+    states += [leaf.bounds.low[:2] for leaf in policy._ordered[::7]]
+    for state in states:
+        admitted = [policy._ordered[i] for i in policy._admitted(state)]
+        expected = _walk_candidate_leaves(policy, state)
+        assert len(admitted) == len(expected) and all(a is b for a, b in zip(admitted, expected))
+
+
 def test_checkpoint_snapshots_recorded():
     config = arm_config(budget=400)
     log = run_experiment(config, checkpoints=[100, 400])

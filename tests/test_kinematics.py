@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalbabbling.kinematics import ArmGeometry, ArmWorld, SynergyWorld, forward_kinematics
+from goalbabbling.kinematics import (
+    ArmGeometry,
+    ArmWorld,
+    SynergyWorld,
+    forward_kinematics,
+    forward_kinematics_many,
+)
 from goalbabbling.spaces import Box
 
 
@@ -49,6 +55,15 @@ def test_fk_random_poses_match_oracle():
         np.testing.assert_allclose(
             forward_kinematics(geometry, alpha), oracle_fk(geometry.link_lengths, alpha), rtol=1e-10, atol=1e-10
         )
+
+
+def test_batched_fk_equals_single_fk_bitwise():
+    rng = np.random.default_rng(4)
+    for n_dof in (2, 7, 15):
+        geometry = ArmGeometry.golden_links(n_dof, total_length=50.0)
+        alphas = rng.uniform(-math.pi, math.pi, (64, n_dof))
+        expected = np.array([forward_kinematics(geometry, alpha) for alpha in alphas])
+        assert np.array_equal(forward_kinematics_many(geometry, alphas), expected)
 
 
 def test_golden_links_sum_to_total_and_decrease():

@@ -9,6 +9,7 @@ from goalbabbling.memory import (
     EmptyMemoryError,
     EvolvingMemory,
     FixedMemory,
+    LocalLinearModel,
     NearestIndex,
     SensorimotorEntry,
 )
@@ -68,6 +69,48 @@ def test_exact_queries_match_linear_scan_across_rebuilds():
         assert set(idx) == set(oracle_idx)
 
 
+@pytest.mark.parametrize(
+    "size",
+    [5, 16, 23, 40],  # tail only, tree only (empty tail), tree plus tail, two rebuilds plus tail
+)
+def test_query_many_equals_query_row_by_row(size):
+    # Points on a coarse grid, keys on and off it: many exact distance ties,
+    # also at the k-th neighbour, and duplicated points.
+    rng = np.random.default_rng(size)
+    index = NearestIndex(2, rebuild_every=16)
+    for point in rng.integers(0, 3, (size, 2)).astype(float):
+        index.add(point)
+    keys = np.vstack([rng.integers(0, 3, (30, 2)).astype(float), rng.normal(1.0, 1.0, (30, 2))])
+    for k in (1, 3, 7, size, size + 5):
+        idx, dist = index.query_many(keys, k)
+        for row, key in enumerate(keys):
+            one_idx, one_dist = index.query(key, k)
+            assert np.array_equal(idx[row], one_idx)
+            assert np.array_equal(dist[row], one_dist)
+
+
+def test_query_many_on_empty_index_raises():
+    with pytest.raises(EmptyMemoryError):
+        NearestIndex(2).query_many(np.zeros((3, 2)), 1)
+
+
+def test_local_pseudo_inverses_equal_single_fits_bitwise():
+    rng = np.random.default_rng(9)
+    memory = EvolvingMemory(3, 2, neighbors=8, support_radius=0.6)
+    for _ in range(700):
+        context = rng.uniform(-1.0, 1.0, 3)
+        action = rng.normal(0.0, 0.1, 3)
+        memory.insert(context, action, rng.normal(size=(2, 3)) @ action)
+    contexts = rng.uniform(-1.3, 1.3, (80, 3))
+    pinvs, fitted = memory.local_pseudo_inverses(contexts)
+    assert 0 < fitted.sum() < len(contexts)
+    for row, context in enumerate(contexts):
+        model = memory.local_jacobian(context)
+        assert fitted[row] == (model is not None)
+        expected = model.pseudo_inverse if model is not None else np.zeros((3, 2))
+        assert np.array_equal(pinvs[row], expected)
+
+
 def test_insert_nearest_round_trip():
     memory = EvolvingMemory(3, 2)
     rng = np.random.default_rng(9)
@@ -116,6 +159,35 @@ def test_pseudo_inverse_closed_form_row_vector():
     # J = [1 2]: J+ = J^T (J J^T)^-1 = (0.2, 0.4)^T.
     jac = np.array([[1.0, 2.0]])
     np.testing.assert_allclose(np.linalg.pinv(jac), [[0.2], [0.4]], atol=1e-12)
+
+
+def test_local_model_computes_the_missing_side_on_first_read():
+    rng = np.random.default_rng(9)
+    jac = rng.normal(size=(2, 5))
+    from_map = LocalLinearModel(jac, None, 7)
+    assert from_map.jacobian is jac
+    np.testing.assert_array_equal(from_map.pseudo_inverse, np.linalg.pinv(jac))
+    assert from_map.pseudo_inverse is from_map.pseudo_inverse
+    inverse = rng.normal(size=(5, 2))
+    from_inverse = LocalLinearModel(None, inverse, 3)
+    np.testing.assert_array_equal(from_inverse.jacobian, np.linalg.pinv(inverse))
+    assert from_inverse.pseudo_inverse is inverse and from_inverse.support_size == 3
+    with pytest.raises(ValueError):
+        LocalLinearModel(None, None, 0)
+
+
+def test_memory_models_pair_each_side_with_its_pseudo_inverse():
+    rng = np.random.default_rng(10)
+    evolving = EvolvingMemory(3, 2, neighbors=10, support_radius=10.0)
+    fixed = FixedMemory(3, 2, inverse_candidates=3, inverse_neighborhood=6)
+    for _ in range(20):
+        context, action, effect = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
+        evolving.insert(context, action, effect)
+        fixed.insert(action, effect)
+    model = evolving.local_jacobian(np.zeros(3))
+    np.testing.assert_array_equal(model.pseudo_inverse, np.linalg.pinv(model.jacobian))
+    _, model = fixed.local_inverse(np.zeros(2))
+    np.testing.assert_array_equal(model.jacobian, np.linalg.pinv(model.pseudo_inverse))
 
 
 def test_local_jacobian_requires_support_within_radius():

@@ -209,6 +209,24 @@ def test_identical_gammas_tie_broken_by_balance():
     assert event.chosen.n_left * event.chosen.n_right == best_product
 
 
+@pytest.mark.parametrize("count", [2, 7, 30, 61])
+def test_candidate_scores_equal_the_one_cut_formula_bitwise(count):
+    tree = make_tree(window=24, seed=11)
+    rng = np.random.default_rng(count)
+    # Coordinates on a coarse grid, so cuts fall on ties and leave sides empty.
+    positions = rng.integers(0, 5, size=(count, 2)) / 4.0
+    gammas = -rng.random(count)
+    gammas[::5] = -1.0
+    dims = rng.integers(0, 2, size=80)
+    values = rng.integers(0, 6, size=80) / 4.0 - rng.integers(0, 2, size=80) / 8.0
+    cuts = tree._score_candidates(dims, values, positions, gammas)
+    assert [(c.dim, c.value) for c in cuts] == list(zip(dims.tolist(), values.tolist()))
+    for cut in cuts:
+        mask = positions[:, cut.dim] < cut.value
+        assert (cut.n_left, cut.n_right) == (int(mask.sum()), int((~mask).sum()))
+        assert cut.quality == qual_oracle(positions, gammas, cut.dim, cut.value, tree.window)
+
+
 def test_empty_side_candidate_scores_zero():
     positions = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
     gammas = np.array([0.0, -1.0, -0.5])
