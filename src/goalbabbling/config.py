@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,40 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# Field annotation -> (check, what the field must be).
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple[float, ...]": (
+        lambda value: isinstance(value, (tuple, list)) and all(map(_is_finite, value)),
+        "a list of finite numbers",
+    ),
+}
+
+
+def _check_types(spec, prefix: str = "") -> None:
+    """Every field of the dataclass `spec` must hold a value of its annotated
+    type; a field annotated ``X | None`` may also be None."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        kind = f.type.removesuffix(" | None")
+        if (value is None and kind != f.type) or kind not in _TYPE_CHECKS:
+            continue
+        check, wanted = _TYPE_CHECKS[kind]
+        if not check(value):
+            raise ConfigError(f"{prefix}{f.name} must be {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvironmentSpec:
     type: str = ENV_ARM
@@ -41,6 +76,7 @@ class EnvironmentSpec:
     max_action_norm: float = 0.2
 
     def validate(self) -> None:
+        _check_types(self, "environment.")
         if self.type not in (ENV_ARM, ENV_SYNERGY):
             raise ConfigError(f"environment.type must be '{ENV_ARM}' or '{ENV_SYNERGY}', got {self.type!r}")
         if self.n_dof < 1:
@@ -105,10 +141,13 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        _check_types(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.budget < 0:
             raise ConfigError("budget must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.environment.validate()
         if len(self.task_low) != 2 or len(self.task_high) != 2:
             raise ConfigError("task_low/task_high must have 2 components")
@@ -134,6 +173,12 @@ class ExperimentConfig:
             raise ConfigError("velocity must be positive")
         if self.explore_actions < 0 or self.blocking_window < 0:
             raise ConfigError("explore_actions and blocking_window must be >= 0")
+        goal_babbling_arm = self.environment.type == ENV_ARM and self.strategy in (SAGG_RIAC, SAGG_RANDOM)
+        if goal_babbling_arm and self.explore_actions == 0:
+            raise ConfigError(
+                "explore_actions must be >= 1 for goal babbling on the arm: without a local model "
+                "only explorative micro-actions collect data"
+            )
         if self.timeout_factor <= 1:
             raise ConfigError("timeout_factor must exceed 1")
         if self.reached_tolerance >= 0:
@@ -214,16 +259,14 @@ def _from_mapping(data: dict) -> ExperimentConfig:
     if task is not None:
         if not isinstance(task, dict) or set(task) != {"low", "high"}:
             raise ConfigError("'task_space' must be an object with keys 'low' and 'high'")
-        data["task_low"] = tuple(task["low"])
-        data["task_high"] = tuple(task["high"])
+        data["task_low"], data["task_high"] = task["low"], task["high"]
     cfg_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - cfg_fields
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "task_low" in data:
-        data["task_low"] = tuple(data["task_low"])
-    if "task_high" in data:
-        data["task_high"] = tuple(data["task_high"])
+    for key in ("task_low", "task_high"):
+        if isinstance(data.get(key), list):
+            data[key] = tuple(data[key])
     try:
         return ExperimentConfig(environment=EnvironmentSpec(**env_data), **data)
     except TypeError as exc:

@@ -17,9 +17,9 @@ from .competence import CompetenceConfig
 from .config import ExperimentConfig
 # `reach_evolving` stays importable from this module, where the benchmark's
 # tracer wraps it by name; evaluation itself reaches in lockstep.
-from .explorers import ReachingBudget, reach_evolving, reach_evolving_lockstep  # noqa: F401
+from .explorers import ReachingBudget, euclidean, reach_evolving, reach_evolving_lockstep  # noqa: F401
 from .kinematics import ArmWorld
-from .experiment import RunLog, run_experiment
+from .experiment import RunLog, competence_config, run_experiment
 
 
 # Evaluation checkpoint schedule used when a caller does not pick one.
@@ -124,31 +124,28 @@ def exploitation_competence(config: ExperimentConfig) -> CompetenceConfig:
     """Competence for exploitation reaches, which run to their full step
     budget: the learner's own "reached" tolerance is a training shortcut
     and must not cap the measured accuracy."""
-    return dataclasses.replace(_competence(config), reached_tolerance=-1e-12)
+    return dataclasses.replace(competence_config(config), reached_tolerance=-1e-12)
 
 
 def evaluate(memory, world, goals: np.ndarray, config: ExperimentConfig) -> float:
     """Mean Euclidean reaching error from rest over the test goals.
 
-    On the arm every goal is reached for in lockstep; each final position
-    equals that of ``reach_evolving(..., learn=False)`` under
-    ``exploitation_budget``.
+    All goals are scored in one pass.  On the arm they are reached for in
+    lockstep; each final position equals that of ``reach_evolving(...,
+    learn=False)`` under ``exploitation_budget``.  In the episodic world
+    one stacked local-inverse prediction and one batched rollout give, row
+    by row, what ``local_inverse`` and ``rollout`` give for each goal.
     """
-    competence = exploitation_competence(config)
     if isinstance(world, ArmWorld):
         outcomes = reach_evolving_lockstep(
-            world, memory, world.rest_state(), goals, exploitation_budget(config), competence
+            world, memory, world.rest_state(), goals, exploitation_budget(config), exploitation_competence(config)
         )
-        errors = [_distance(outcome.final, goal) for outcome, goal in zip(outcomes, goals)]
+        finals = [outcome.final for outcome in outcomes]
+    elif len(memory) == 0:
+        finals = [world.rest_effect()] * len(goals)
     else:
-        errors = []
-        for goal in goals:
-            if len(memory) == 0:
-                final = world.rest_effect()
-            else:
-                theta = np.clip(memory.local_inverse(goal)[0], 0.0, 1.0)
-                final = world.rollout(theta)
-            errors.append(_distance(final, goal))
+        finals = world.rollout_many(np.clip(memory.local_inverses(goals)[0], 0.0, 1.0))
+    errors = [euclidean(final, goal) for final, goal in zip(finals, goals)]
     return float(np.mean(errors)) if errors else 0.0
 
 
@@ -254,11 +251,3 @@ def compare_strategies(
         )
     return ComparisonResult(curves, significance, fractions, logs)
 
-
-def _competence(config: ExperimentConfig) -> CompetenceConfig:
-    return CompetenceConfig(config.reached_tolerance, config.min_start_distance, config.dim_scales())
-
-
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    return math.sqrt(float(d @ d))

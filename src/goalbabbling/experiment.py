@@ -111,7 +111,7 @@ class _Checkpoints:
             log.snapshots.append(SnapshotRecord(target, used, tree.snapshot() if tree is not None else []))
 
 
-def _competence_config(config: ExperimentConfig) -> CompetenceConfig:
+def competence_config(config: ExperimentConfig) -> CompetenceConfig:
     return CompetenceConfig(config.reached_tolerance, config.min_start_distance, config.dim_scales())
 
 
@@ -195,7 +195,7 @@ def _run_goal_babbling_arm(config, world: ArmWorld, streams, marks: _Checkpoints
         support_radius=config.support_radius,
     )
     tree = _build_tree(config, streams.goals)
-    competence = _competence_config(config)
+    competence = competence_config(config)
     budget = _reaching_budget(config)
 
     def conserve(point: np.ndarray) -> None:
@@ -399,7 +399,7 @@ def _run_goal_babbling_map(config, world: SynergyWorld, streams, marks: _Checkpo
         inverse_neighborhood=config.inverse_neighborhood,
     )
     tree = _build_tree(config, streams.goals)
-    competence = _competence_config(config)
+    competence = competence_config(config)
     budget = _reaching_budget(config)
 
     def conserve(point: np.ndarray) -> None:

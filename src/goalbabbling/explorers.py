@@ -39,6 +39,8 @@ class ReachingBudget:
     ``timeout_factor`` bounds micro-actions at ``factor * start_distance /
     velocity``; ``blocking_window`` ends the attempt after that many
     consecutive exploration phases without progress (0 disables the check).
+    An arm attempt with no local model and ``explore_actions=0`` cannot
+    move, and ends blocked at once.
     """
 
     velocity: float = 2.0
@@ -87,7 +89,7 @@ def rest_reset_policy(counter: int, reset_every: int) -> bool:
     return counter % reset_every == 0
 
 
-def _dist(a: np.ndarray, b: np.ndarray) -> float:
+def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     d = a - b
     return math.sqrt(float(d @ d))
 
@@ -128,7 +130,7 @@ def reach_evolving(
     if allowance is not None:
         cap = min(cap, allowance)
     steps = 0
-    best = _dist(current, goal)
+    best = euclidean(current, goal)
     # Blocking bookkeeping: a streak of exploration triggers with no
     # improvement of the best distance between them.
     last_mark = best
@@ -145,7 +147,7 @@ def reach_evolving(
         steps += 1
         if hooks is not None:
             hooks(current)
-        d = _dist(current, goal)
+        d = euclidean(current, goal)
         if d < best:
             best = d
         return result
@@ -154,14 +156,14 @@ def reach_evolving(
         model = memory.local_jacobian(alpha)
         explore = model is None
         if model is not None:
-            distance = _dist(current, goal)
+            distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
             delta = _clip_norm(model.pseudo_inverse @ desired, world.max_action_norm)
             result = _advance(delta)
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
                 return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
-            error = _dist(result.displacement, desired)
+            error = euclidean(result.displacement, desired)
             explore = error > budget.prediction_error_max
         if explore:
             if budget.blocking_window:
@@ -173,6 +175,11 @@ def reach_evolving(
                 if stalled_phases >= budget.blocking_window:
                     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                     return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
+            if model is None and not budget.explore_actions:
+                # Nothing can move the arm, so every later round would be
+                # this one again: end now, as the blocking check would.
+                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+                return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
             for _ in range(budget.explore_actions):
                 if steps >= cap:
                     break

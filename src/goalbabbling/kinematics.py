@@ -198,12 +198,22 @@ class SynergyWorld:
         return self.geometry.joint_low + np.asarray(theta, dtype=float) * self._span
 
     def rollout(self, theta: np.ndarray) -> np.ndarray:
+        return forward_kinematics(self.geometry, self.rescale(self._checked(theta, 1)))
+
+    def rollout_many(self, thetas: np.ndarray) -> np.ndarray:
+        """Outcomes (rows x 2) of every row of `thetas`; row i equals
+        ``rollout(thetas[i])`` bit for bit."""
+        return forward_kinematics_many(self.geometry, self.rescale(self._checked(thetas, 2)))
+
+    def _checked(self, theta: np.ndarray, ndim: int) -> np.ndarray:
+        """`theta` as floats, after checking its shape and its [0, 1] range."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.geometry.n_dof,):
-            raise ValueError(f"theta must have shape ({self.geometry.n_dof},)")
+        if theta.ndim != ndim or theta.shape[-1] != self.geometry.n_dof:
+            shape = f"(rows, {self.geometry.n_dof})" if ndim == 2 else f"({self.geometry.n_dof},)"
+            raise ValueError(f"theta must have shape {shape}")
         if np.any(theta < 0.0) or np.any(theta > 1.0):
             raise ValueError("theta components must lie in [0, 1]")
-        return forward_kinematics(self.geometry, self.rescale(theta))
+        return theta
 
     def rest_effect(self) -> np.ndarray:
         return self._rest_effect.copy()

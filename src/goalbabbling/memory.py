@@ -15,14 +15,15 @@ Two memory flavours exist:
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Keys per tail scan in `NearestIndex.query_many`.
+# Keys per tail scan, and per pick of the nearest tail points, in
+# `NearestIndex.query_many`.
 _TAIL_CHUNK = 8
+_TAIL_BLOCK = 128
 
 
 class EmptyMemoryError(RuntimeError):
@@ -132,8 +133,9 @@ class NearestIndex:
     def query_many(self, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Row i equals ``query(keys[i], k)``: one tree call for all keys.
 
-        The tail is scanned a few keys at a time, so the (keys x tail x dim)
-        difference array never gets large.
+        The tail is scanned a few keys at a time and its nearest points are
+        picked a block of keys at a time, so neither the (keys x tail x dim)
+        difference array nor the (keys x tail) distance array gets large.
         """
         if self._n == 0:
             raise EmptyMemoryError("nearest-neighbor query on empty memory")
@@ -148,13 +150,20 @@ class NearestIndex:
             cand_idx.append(idx.reshape(rows, kt).astype(np.intp))
             cand_dist.append(dist.reshape(rows, kt))
         if tail.shape[0]:
-            d2 = np.empty((rows, tail.shape[0]))
-            for lo in range(0, rows, _TAIL_CHUNK):
-                diff = tail - keys[lo : lo + _TAIL_CHUNK, None]
-                d2[lo : lo + _TAIL_CHUNK] = np.einsum("gij,gij->gi", diff, diff)
-            order = _smallest_stable(d2, min(k_eff, tail.shape[0]))
+            kt = min(k_eff, tail.shape[0])
+            order = np.empty((rows, kt), dtype=np.intp)
+            kept_d2 = np.empty((rows, kt))
+            for block in range(0, rows, _TAIL_BLOCK):
+                block_keys = keys[block : block + _TAIL_BLOCK]
+                d2 = np.empty((block_keys.shape[0], tail.shape[0]))
+                for lo in range(0, block_keys.shape[0], _TAIL_CHUNK):
+                    diff = tail - block_keys[lo : lo + _TAIL_CHUNK, None]
+                    d2[lo : lo + _TAIL_CHUNK] = np.einsum("gij,gij->gi", diff, diff)
+                picked = _smallest_stable(d2, kt)
+                order[block : block + _TAIL_BLOCK] = picked
+                kept_d2[block : block + _TAIL_BLOCK] = np.take_along_axis(d2, picked, axis=1)
             cand_idx.append(order + self._tree_n)
-            cand_dist.append(np.sqrt(np.take_along_axis(d2, order, axis=1)))
+            cand_dist.append(np.sqrt(kept_d2))
         idx = np.concatenate(cand_idx, axis=1)
         dist = np.concatenate(cand_dist, axis=1)
         order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
@@ -364,45 +373,59 @@ class FixedMemory:
     def local_inverse(
         self, goal: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
     ) -> tuple[np.ndarray, LocalLinearModel]:
-        """Predict the parameters for `goal` from the most consistent
-        neighborhood of past outcomes.
+        """Predict the parameters for `goal`: one row of ``local_inverses``."""
+        predicted, models = self.local_inverses(np.asarray(goal, dtype=float)[None], candidates, neighborhood)
+        return predicted[0], models[0]
 
-        Around each of the `candidates` nearest effects to the goal, the
+    def local_inverses(
+        self, goals: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
+    ) -> tuple[np.ndarray, list[LocalLinearModel]]:
+        """Predict the parameters for every row of `goals` from the most
+        consistent neighborhood of past outcomes.
+
+        Around each of the `candidates` nearest effects to a goal, the
         `neighborhood` nearest-in-params exemplars form a candidate set; the
         set whose params spread the least (summed per-component standard
-        deviation) wins, and a centered linear effect->params fit on it
-        yields the prediction.  Redundant memories keep multiple param
-        families for one effect region; picking the tightest set avoids
-        averaging across families.
+        deviation) wins, the first one on ties, and a centered linear
+        effect->params fit on it yields the prediction.  Redundant memories
+        keep multiple param families for one effect region; picking the
+        tightest set avoids averaging across families.
+
+        All goals share one effect-index query and all candidate sets one
+        params-index query; each row is the same as for that goal alone.
+        Returns the (rows x param_dim) predictions and one model per row.
         """
         if len(self) == 0:
             raise EmptyMemoryError("local inverse model requires at least one exemplar")
         le = self.inverse_candidates if candidates is None else candidates
         m = self.inverse_neighborhood if neighborhood is None else neighborhood
-        goal = np.asarray(goal, dtype=float)
-        cand_idx, _ = self._effect_index.query(goal, min(le, len(self)))
-        best_set: np.ndarray | None = None
-        best_spread = math.inf
-        params = self.params
-        for i in cand_idx:
-            set_idx, _ = self._param_index.query(params[i], min(m, len(self)))
-            spread = _param_spread(params[set_idx])
-            if spread < best_spread:
-                best_spread = spread
-                best_set = set_idx
-        assert best_set is not None
-        chosen_params = params[best_set]
-        chosen_effects = self.effects[best_set]
-        param_center = chosen_params.mean(axis=0)
-        effect_center = chosen_effects.mean(axis=0)
-        if best_set.shape[0] < 2:
-            inverse = np.zeros((self.param_dim, self.effect_dim))
+        goals = np.asarray(goals, dtype=float)
+        predicted = np.empty((goals.shape[0], self.param_dim))
+        if goals.shape[0] == 0:
+            return predicted, []
+        params, effects = self.params, self.effects
+        cand_idx, _ = self._effect_index.query_many(goals, min(le, len(self)))
+        set_idx, _ = self._param_index.query_many(params[cand_idx.ravel()], min(m, len(self)))
+        set_idx = set_idx.reshape(cand_idx.shape + (-1,))
+        if set_idx.shape[2] < 2:
+            spread = np.zeros(cand_idx.shape)
         else:
-            coef, *_ = np.linalg.lstsq(chosen_effects - effect_center, chosen_params - param_center, rcond=None)
-            inverse = coef.T
-        predicted = param_center + inverse @ (goal - effect_center)
-        model = LocalLinearModel(None, inverse, best_set.shape[0])
-        return predicted, model
+            spread = np.std(params[set_idx], axis=2, ddof=1).sum(axis=2)
+        best_sets = set_idx[np.arange(goals.shape[0]), spread.argmin(axis=1)]
+        models = []
+        for row, best_set in enumerate(best_sets):
+            chosen_params = params[best_set]
+            chosen_effects = effects[best_set]
+            param_center = chosen_params.mean(axis=0)
+            effect_center = chosen_effects.mean(axis=0)
+            if best_set.shape[0] < 2:
+                inverse = np.zeros((self.param_dim, self.effect_dim))
+            else:
+                coef, *_ = np.linalg.lstsq(chosen_effects - effect_center, chosen_params - param_center, rcond=None)
+                inverse = coef.T
+            predicted[row] = param_center + inverse @ (goals[row] - effect_center)
+            models.append(LocalLinearModel(None, inverse, best_set.shape[0]))
+        return predicted, models
 
     @staticmethod
     def csv_header(param_dim: int, effect_dim: int) -> list[str]:
@@ -419,13 +442,6 @@ class FixedMemory:
         for row in rows:
             memory.insert(row[:param_dim], row[param_dim:])
         return memory
-
-
-def _param_spread(params: np.ndarray) -> float:
-    """Summed per-component sample standard deviation; 0 for singletons."""
-    if params.shape[0] < 2:
-        return 0.0
-    return float(np.std(params, axis=0, ddof=1).sum())
 
 
 def _grow(array: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +66,54 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     bad.write_text(json.dumps({"strategy": "sagg_riac", "budget": 10, "seed": 1, "velocty": 1.0}))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
     assert "velocty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"velocity": math.nan}, "velocity"),
+        ({"timeout_factor": math.inf}, "timeout_factor"),
+        ({"budget": True}, "budget"),
+        ({"region_capacity": 2.5}, "region_capacity"),
+        ({"environment": {"n_dof": 2.5}}, "environment.n_dof"),
+        ({"environment": {"total_length": -math.inf}}, "environment.total_length"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"subgoals": 1}, "subgoals"),
+        ({"burn_in_goals": 1.0}, "burn_in_goals"),
+        ({"task_space": {"low": 0, "high": [60, 60]}}, "task_low"),
+        ({"task_high": [60.0, math.nan]}, "task_high"),
+    ],
+)
+def test_run_rejects_mistyped_or_non_finite_fields(demo_config, tmp_path, capsys, override, field):
+    data = json.loads(demo_config.read_text())
+    data.pop("task_space")
+    for key, value in override.items():
+        if isinstance(value, dict) and key == "environment":
+            data[key].update(value)
+        else:
+            data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_goal_babbling_arm_without_exploration_exits_one_quickly(demo_config, tmp_path):
+    # With no local model, only explorative micro-actions collect data; this
+    # pair once made the first reach spin forever.
+    data = json.loads(demo_config.read_text())
+    data.update(explore_actions=0, blocking_window=0, budget=100)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "goalbabbling", "run", "--config", str(bad), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 1
+    assert "explore_actions must be >= 1" in done.stderr
 
 
 def test_missing_run_dir_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from goalbabbling.config import (
@@ -103,3 +104,17 @@ def test_round_trip_to_json(tmp_path):
     path.write_text(cfg.to_json())
     again = load_config(path)
     assert again == cfg
+
+
+def test_explore_actions_zero_only_rejected_for_goal_babbling_on_the_arm():
+    with pytest.raises(ConfigError, match="explore_actions"):
+        ExperimentConfig(strategy="sagg_random", budget=10, seed=1, explore_actions=0)
+    ExperimentConfig(strategy="actuator_riac", budget=10, seed=1, explore_actions=0)
+    ExperimentConfig(
+        strategy="sagg_riac", budget=10, seed=1, explore_actions=0, environment=EnvironmentSpec(type="synergy_map")
+    )
+
+
+def test_numpy_scalars_are_accepted():
+    cfg = ExperimentConfig(strategy="sagg_riac", budget=np.int64(10), seed=np.int32(1), velocity=np.float64(1.5))
+    assert cfg.budget == 10

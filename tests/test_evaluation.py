@@ -15,7 +15,7 @@ from goalbabbling.evaluation import (
 )
 from goalbabbling.experiment import GoalEvent, RunLog, run_with_memory
 from goalbabbling.explorers import reach_evolving, reach_evolving_lockstep
-from goalbabbling.memory import EvolvingMemory
+from goalbabbling.memory import EvolvingMemory, FixedMemory
 
 
 def arm_config(**overrides):
@@ -191,11 +191,32 @@ def test_evaluate_fixed_context_with_empty_memory():
     )
     world = config.build_world()
     goals = make_test_db(world, 10, seed=7)
-    from goalbabbling.memory import FixedMemory
-
     memory = FixedMemory(4, 2)
     expected = float(np.mean(np.linalg.norm(goals - world.rest_effect(), axis=1)))
     assert evaluate(memory, world, goals, config) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("size", [0, 1, 300, 512, 700])  # empty; tiny; tail only; tree only; tree plus tail
+def test_map_evaluation_equals_per_goal_loop_bitwise(size):
+    config = load_config(bundled_config_path("map8_mid"), seed=5, budget=700)
+    world = config.build_world()
+    _, trained = run_with_memory(config)
+    memory = FixedMemory(
+        world.param_dim, inverse_candidates=config.inverse_candidates, inverse_neighborhood=config.inverse_neighborhood
+    )
+    for i in range(size):
+        memory.insert(trained.params[i], trained.effects[i])
+    goals = np.vstack([make_test_db(world, 30, seed=9), world.rest_effect(), [0.9 * world.reach_radius, 0.0]])
+    errors = []
+    for goal in goals:
+        if size == 0:
+            final = world.rest_effect()
+        else:
+            final = world.rollout(np.clip(memory.local_inverse(goal)[0], 0.0, 1.0))
+        errors.append(float(np.sqrt((final - goal) @ (final - goal))))
+    assert evaluate(memory, world, goals, config) == float(np.mean(errors))
+    assert evaluate(memory, world, goals[:0], config) == 0.0
+    assert len(memory) == size
 
 
 # ----------------------------------------------------------------- fractions

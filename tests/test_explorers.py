@@ -176,6 +176,17 @@ def test_blocking_counts_consecutive_stalled_phases():
     assert out.micro_actions_used == 0
 
 
+def test_no_model_and_no_exploration_ends_blocked_at_once():
+    # Neither a local model nor explorative actions can move the arm; with
+    # the blocking check off the attempt must still end, not spin.
+    world = two_dof_world()
+    budget = ReachingBudget(velocity=1.0, explore_actions=0, blocking_window=0)
+    out = reach_evolving(world, EvolvingMemory(2, 2), world.rest_state(), np.array([0.0, 40.0]), budget, COMP)
+    assert out.terminated_by == BLOCKED
+    assert out.micro_actions_used == 0
+    assert np.array_equal(out.final_state, world.rest_state())
+
+
 def test_exploit_mode_inserts_nothing():
     world = two_dof_world()
     memory = seeded_memory(world, steps=200)

@@ -148,6 +148,28 @@ def test_rollout_rejects_out_of_range_theta():
         world.rollout(np.array([0.5, 1.2, 0.5]))
 
 
+def test_batched_rollout_equals_single_rollouts_bitwise():
+    world = SynergyWorld(ArmGeometry.golden_links(8, total_length=50.0))
+    rng = np.random.default_rng(12)
+    thetas = np.vstack([rng.random((40, 8)), np.zeros(8), np.ones(8), np.full(8, 0.5)])
+    outcomes = world.rollout_many(thetas)
+    assert outcomes.shape == (len(thetas), 2)
+    for theta, outcome in zip(thetas, outcomes):
+        assert np.array_equal(outcome, world.rollout(theta))
+    assert world.rollout_many(np.zeros((0, 8))).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [np.full(3, 0.5), np.full((2, 4), 0.5), np.full((2, 2), 0.5), np.full((1, 2, 3), 0.5),
+     np.array([[0.5, 0.5, 0.5], [0.5, 1.2, 0.5]]), np.array([[0.5, -0.1, 0.5]])],
+)
+def test_batched_rollout_rejects_what_rollout_rejects(thetas):
+    world = SynergyWorld(ArmGeometry.equal_links(3, total_length=50.0))
+    with pytest.raises(ValueError):
+        world.rollout_many(thetas)
+
+
 def test_reset_is_idempotent_and_configured():
     world = ArmWorld(ArmGeometry.equal_links(4, total_length=50.0), rest_angle=0.35)
     first = world.rest_state()

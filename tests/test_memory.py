@@ -89,6 +89,20 @@ def test_query_many_equals_query_row_by_row(size):
             assert np.array_equal(dist[row], one_dist)
 
 
+def test_query_many_equals_query_across_blocks_of_keys():
+    # More keys than one pick block holds, the last block partial.
+    rng = np.random.default_rng(3)
+    index = NearestIndex(3, rebuild_every=64)
+    for point in rng.integers(0, 4, (100, 3)).astype(float):
+        index.add(point)
+    keys = np.vstack([rng.integers(0, 4, (150, 3)).astype(float), rng.normal(1.5, 1.0, (150, 3))])
+    idx, dist = index.query_many(keys, 9)
+    for row, key in enumerate(keys):
+        one_idx, one_dist = index.query(key, 9)
+        assert np.array_equal(idx[row], one_idx)
+        assert np.array_equal(dist[row], one_dist)
+
+
 def test_query_many_on_empty_index_raises():
     with pytest.raises(EmptyMemoryError):
         NearestIndex(2).query_many(np.zeros((3, 2)), 1)
@@ -286,6 +300,64 @@ def test_local_inverse_solves_linear_map():
         goal = mapping @ rng.random(5)
         predicted, _ = memory.local_inverse(goal)
         assert np.linalg.norm(mapping @ predicted - goal) < 1e-6
+
+
+def _local_inverse_scan(memory, goal, candidates, neighborhood):
+    """Reference local inverse: one params query per candidate and a strict
+    `<` scan over their spreads, so the first of tied sets wins."""
+    n = len(memory)
+    cand_idx, _ = memory.nearest_effect(goal, min(candidates, n))
+    best_set, best_spread = None, math.inf
+    for i in cand_idx:
+        set_idx, _ = memory.nearest_params(memory.params[i], min(neighborhood, n))
+        spread = 0.0 if len(set_idx) < 2 else float(np.std(memory.params[set_idx], axis=0, ddof=1).sum())
+        if spread < best_spread:
+            best_set, best_spread = set_idx, spread
+    params, effects = memory.params[best_set], memory.effects[best_set]
+    param_center, effect_center = params.mean(axis=0), effects.mean(axis=0)
+    if len(best_set) < 2:
+        inverse = np.zeros((memory.param_dim, memory.effect_dim))
+    else:
+        coef, *_ = np.linalg.lstsq(effects - effect_center, params - param_center, rcond=None)
+        inverse = coef.T
+    return param_center + inverse @ (goal - effect_center), inverse, len(best_set)
+
+
+@pytest.mark.parametrize("size", [1, 3, 511, 512, 700])  # below the neighbourhood; tail only; tree only; both
+def test_local_inverses_equal_the_per_candidate_scan_bitwise(size):
+    # Params on a coarse grid and effects rounded to a coarse grid give
+    # duplicated params, duplicated effects and tied distances at both
+    # queries; every fifth exemplar repeats an earlier one outright.
+    rng = np.random.default_rng(size)
+    mapping = rng.normal(size=(8, 2))
+    memory = FixedMemory(8, 2)
+    for i in range(size):
+        theta = rng.integers(0, 3, 8) / 2.0 if i % 5 or i == 0 else memory.params[rng.integers(i)].copy()
+        memory.insert(theta, np.round(theta @ mapping, 1))
+    goals = np.vstack([rng.normal(0.0, 1.5, (30, 2)), memory.effects[rng.integers(size, size=10)]])
+    overrides = [(None, None), (1, 1), (3, 2), (7, 15), (40, 60)]
+    for candidates, neighborhood in overrides:
+        predicted, models = memory.local_inverses(goals, candidates, neighborhood)
+        assert predicted.shape == (len(goals), 8) and len(models) == len(goals)
+        le = memory.inverse_candidates if candidates is None else candidates
+        m = memory.inverse_neighborhood if neighborhood is None else neighborhood
+        for row, goal in enumerate(goals):
+            expected, inverse, support = _local_inverse_scan(memory, goal, le, m)
+            assert np.array_equal(predicted[row], expected)
+            assert np.array_equal(models[row].pseudo_inverse, inverse)
+            assert models[row].support_size == support
+            one, model = memory.local_inverse(goal, candidates, neighborhood)
+            assert np.array_equal(one, expected)
+            assert np.array_equal(model.pseudo_inverse, inverse)
+
+
+def test_local_inverses_of_no_goals_and_on_empty_memory():
+    memory = FixedMemory(4, 2)
+    with pytest.raises(EmptyMemoryError):
+        memory.local_inverses(np.zeros((3, 2)))
+    memory.insert(np.full(4, 0.5), np.zeros(2))
+    predicted, models = memory.local_inverses(np.zeros((0, 2)))
+    assert predicted.shape == (0, 4) and models == []
 
 
 def test_nearest_on_fixed_memory_keys_by_effect():
