@@ -4,7 +4,10 @@ Two reaching procedures share the same outcome contract:
 
 * ``reach_evolving`` steps an arm toward the goal through the local
   Jacobian's pseudo-inverse, interleaving bursts of small random actions
-  whenever the local model is missing or mispredicts.
+  whenever the local model is missing or mispredicts.  A burst is drawn,
+  stepped and scored as one block and cut at its first micro-action that
+  reaches the goal, with the same draws, states and records as taking
+  the actions one at a time.
 * ``reach_fixed`` predicts episode parameters from the local inverse model,
   and hill-climbs with distance-proportional parameter noise when the
   prediction does not improve on the best known outcome.
@@ -101,6 +104,40 @@ def _clip_norm(vector: np.ndarray, bound: float) -> np.ndarray:
     return vector
 
 
+def _reaches(goals: np.ndarray, points: np.ndarray, start_distance, competence: CompetenceConfig) -> np.ndarray:
+    """Whether each row of `points` reaches its goal, from a start
+    `start_distance` (at least ``min_start_distance``) away: row by row,
+    ``clip_to_gamma(competence_normalized(...)) == 0.0``."""
+    final = scaled_distances(goals, points, competence)
+    c = np.where(final > start_distance, -1.0, -final / start_distance)
+    return ~(c <= competence.reached_tolerance)
+
+
+def _explore_block(
+    world: ArmWorld, alpha: np.ndarray, effector: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint states and effector positions along a sequence of explorative
+    micro-actions from `alpha`, whose effector is at `effector`.
+
+    Row 0 of each array is the start and row i + 1 the state after
+    ``deltas[i]``.  Each action is norm-clipped and its result clamped to the
+    joint limits, so every row equals what ``world.step`` gives one action at
+    a time, bit for bit.
+    """
+    norms = np.sqrt(np.vecdot(deltas, deltas))
+    over = norms > world.max_action_norm
+    deltas[over] *= (world.max_action_norm / norms[over])[:, None]
+    low, high = world.geometry.joint_low, world.geometry.joint_high
+    alphas = np.empty((deltas.shape[0] + 1, world.n_dof))
+    alphas[0] = alpha
+    for i, delta in enumerate(deltas):
+        alphas[i + 1] = np.clip(alphas[i] + delta, low, high)
+    effectors = np.empty((alphas.shape[0], effector.shape[0]))
+    effectors[0] = effector
+    effectors[1:] = forward_kinematics_many(world.geometry, alphas[1:])
+    return alphas, effectors
+
+
 def reach_evolving(
     world: ArmWorld,
     memory: EvolvingMemory,
@@ -115,9 +152,10 @@ def reach_evolving(
 ) -> ReachOutcome:
     """Steer the arm from its current joint state toward `goal`.
 
-    With ``learn=False`` nothing is inserted or reported, so evaluation
-    leaves memory untouched; callers should also zero ``explore_actions``
-    and set ``blocking_window=1`` to forbid exploration entirely.
+    With ``learn=False`` nothing is inserted, so evaluation leaves memory
+    untouched (``hooks``, when given, still sees every point); callers
+    should also zero ``explore_actions`` and set ``blocking_window=1`` to
+    forbid exploration entirely.
     """
     goal = np.asarray(goal, dtype=float)
     start = world.forward(alpha)
@@ -126,7 +164,8 @@ def reach_evolving(
     if gamma == 0.0:
         return ReachOutcome(goal, current, 0.0, 0, REACHED, alpha.copy())
 
-    cap = budget.max_steps(scaled_distance(start, goal, competence))
+    start_distance = scaled_distance(start, goal, competence)
+    cap = budget.max_steps(start_distance)
     if allowance is not None:
         cap = min(cap, allowance)
     steps = 0
@@ -136,21 +175,12 @@ def reach_evolving(
     last_mark = best
     stalled_phases = 0
 
-    def _advance(delta: np.ndarray):
-        nonlocal alpha, current, steps, best
-        result = world.step(alpha, delta)
+    def _record(before: np.ndarray, after: np.ndarray, displacement: np.ndarray, point: np.ndarray) -> None:
         if learn:
             # The exemplar stores the actually-applied (post-clamp) increment.
-            memory.insert(alpha, result.alpha - alpha, result.displacement)
-        alpha = result.alpha
-        current = result.effector_after
-        steps += 1
+            memory.insert(before, after - before, displacement)
         if hooks is not None:
-            hooks(current)
-        d = euclidean(current, goal)
-        if d < best:
-            best = d
-        return result
+            hooks(point)
 
     while steps < cap:
         model = memory.local_jacobian(alpha)
@@ -159,7 +189,11 @@ def reach_evolving(
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
             delta = _clip_norm(model.pseudo_inverse @ desired, world.max_action_norm)
-            result = _advance(delta)
+            result = world.step(alpha, delta)
+            _record(alpha, result.alpha, result.displacement, result.effector_after)
+            alpha, current = result.alpha, result.effector_after
+            steps += 1
+            best = min(best, euclidean(current, goal))
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
                 return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
@@ -180,13 +214,28 @@ def reach_evolving(
                 # this one again: end now, as the blocking check would.
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                 return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
-            for _ in range(budget.explore_actions):
-                if steps >= cap:
-                    break
-                delta = rng.uniform(-budget.explore_scale, budget.explore_scale, world.n_dof)
-                _advance(_clip_norm(delta, world.max_action_norm))
-                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                if gamma == 0.0:
+            count = min(budget.explore_actions, cap - steps)
+            if count:
+                # The whole burst as one block; it ends early at the first
+                # micro-action that reaches the goal.
+                drawn = rng.bit_generator.state
+                deltas = rng.uniform(-budget.explore_scale, budget.explore_scale, (count, world.n_dof))
+                alphas, effectors = _explore_block(world, alpha, current, deltas)
+                after = effectors[1:]
+                reached = np.flatnonzero(_reaches(goal, after, start_distance, competence))
+                kept = int(reached[0]) + 1 if reached.size else count
+                if kept < count:
+                    # Leave the stream where drawing one action at a time would.
+                    rng.bit_generator.state = drawn
+                    rng.uniform(-budget.explore_scale, budget.explore_scale, (kept, world.n_dof))
+                moved = effectors[1 : kept + 1] - effectors[:kept]
+                for i in range(kept):
+                    _record(alphas[i], alphas[i + 1], moved[i], after[i])
+                alpha, current = alphas[kept], after[kept - 1]
+                steps += kept
+                offsets = after[:kept] - goal
+                best = min(best, float(np.sqrt(np.vecdot(offsets, offsets)).min()))
+                if reached.size:
                     return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
 
     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
@@ -254,11 +303,7 @@ def reach_evolving_lockstep(
             d = np.sqrt(np.vecdot(after - goal, after - goal))
             distance[moving] = d
             best[moving] = np.where(d < best[moving], d, best[moving])
-            final_distance = scaled_distances(goal, after, competence)
-            c = np.where(
-                final_distance > start_distance[moving], -1.0, -final_distance / start_distance[moving]
-            )
-            reached = ~(c <= competence.reached_tolerance)
+            reached = _reaches(goal, after, start_distance[moving], competence)
             miss = after - current - desired
             done[fitted] = reached
             explore[fitted] = ~reached & (np.sqrt(np.vecdot(miss, miss)) > budget.prediction_error_max)

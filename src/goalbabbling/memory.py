@@ -465,4 +465,7 @@ def _load_csv(path) -> tuple[list[str], np.ndarray]:
         rows = np.array([[float(v) for v in row] for row in reader], dtype=float)
     if rows.size == 0:
         rows = rows.reshape(0, len(header))
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"data row {bad[0] + 1} holds a non-finite value")
     return header, rows

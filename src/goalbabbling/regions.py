@@ -76,6 +76,11 @@ class Region:
     bounds: Box
     depth: int = 0
     records: list[GoalRecord] = field(default_factory=list)
+    # The records' gammas, in step with `records`.
+    gammas: list[float] = field(default_factory=list)
+    # The position every record shares, as floats; None when they differ
+    # or there are none.  While it is set, no cut can split the leaf.
+    shared_position: list[float] | None = None
     interest: float = 0.0
     split_dim: int | None = None
     split_value: float = 0.0
@@ -105,6 +110,20 @@ class SplitEvent:
     candidates: tuple[SplitCandidate, ...]
     positions: np.ndarray
     gammas: np.ndarray
+
+
+def _candidates(dims, values, quality, n_left, n_right) -> list[SplitCandidate]:
+    return [
+        SplitCandidate(j, v, q, a, b)
+        for j, v, q, a, b in zip(dims.tolist(), values.tolist(), quality.tolist(), n_left.tolist(), n_right.tolist())
+    ]
+
+
+def _best_cut(quality: np.ndarray, balance: np.ndarray) -> int:
+    """Index of the first cut that is largest by (quality, balance), the one
+    ``max`` picks over the candidates with that key."""
+    top = np.flatnonzero(quality == quality.max())
+    return int(top[np.argmax(balance[top])])
 
 
 class RegionTree:
@@ -159,13 +178,11 @@ class RegionTree:
 
     # ------------------------------------------------------------------ update
 
-    def locate(self, point: np.ndarray) -> Region:
+    def locate(self, point) -> Region:
+        """The leaf whose box holds `point`; a list of floats is the fastest form."""
         node = self.root
-        while not node.is_leaf:
-            if point[node.split_dim] < node.split_value:
-                node = node.left
-            else:
-                node = node.right
+        while node.left is not None:
+            node = node.left if point[node.split_dim] < node.split_value else node.right
         return node
 
     def update(self, point: np.ndarray, gamma: float, origin: RecordOrigin) -> Region:
@@ -176,11 +193,18 @@ class RegionTree:
             self.clipped_updates += 1
         else:
             point = point.copy()
-        leaf = self.locate(point)
-        leaf.records.append(GoalRecord(point, float(gamma), self._order, origin))
+        coords = point.tolist()
+        leaf = self.locate(coords)
+        gamma = float(gamma)
+        if not leaf.records:
+            leaf.shared_position = coords
+        elif leaf.shared_position is not None and leaf.shared_position != coords:
+            leaf.shared_position = None
+        leaf.records.append(GoalRecord(point, gamma, self._order, origin))
+        leaf.gammas.append(gamma)
         self._order += 1
         self.total_records += 1
-        leaf.interest = interest_of([r.gamma for r in leaf.records], self.window)
+        leaf.interest = interest_of(leaf.gammas[-self.window :], self.window)
         if len(leaf.records) > self.capacity and leaf.depth < self.max_depth:
             self._split(leaf)
         return leaf
@@ -188,24 +212,35 @@ class RegionTree:
     # ------------------------------------------------------------------ split
 
     def _split(self, leaf: Region) -> None:
-        positions = np.array([r.position for r in leaf.records])
-        gammas = np.array([r.gamma for r in leaf.records])
         low, high = leaf.bounds.low, leaf.bounds.high
         dim = self.bounds.dim
+        # With every record on one point no cut can leave both sides
+        # non-empty, so the cuts are drawn (keeping the stream in step) but
+        # not scored.
+        degenerate = leaf.shared_position is not None
+        if not degenerate:
+            positions = np.array([r.position for r in leaf.records])
+            gammas = np.array(leaf.gammas)
 
         chosen: SplitCandidate | None = None
         logged: list[SplitCandidate] = []
         for _ in range(self.split_retries):
             dims = self.rng.integers(0, dim, size=self.split_candidates)
             values = low[dims] + self.rng.random(self.split_candidates) * (high[dims] - low[dims])
-            candidates = self._score_candidates(dims, values, positions, gammas)
+            if degenerate:
+                continue
+            quality, n_left, n_right = self._cut_scores(dims, values, positions, gammas)
             if self.split_log is not None:
-                logged.extend(candidates)
-            best = max(candidates, key=lambda c: (c.quality, c.n_left * c.n_right))
-            if best.n_left and best.n_right:
-                chosen = best
+                logged.extend(_candidates(dims, values, quality, n_left, n_right))
+            best = _best_cut(quality, n_left * n_right)
+            if n_left[best] and n_right[best]:
+                chosen = SplitCandidate(
+                    int(dims[best]), float(values[best]), float(quality[best]), int(n_left[best]), int(n_right[best])
+                )
                 break
         if chosen is None:
+            if degenerate:
+                return
             # Every random cut left a side empty: fall back to the median of
             # the widest dimension, or give up on fully degenerate data.
             j = int(np.argmax(high - low))
@@ -223,22 +258,29 @@ class RegionTree:
         right_low[j] = v
         left = Region(Box(low, left_high), depth=leaf.depth + 1)
         right = Region(Box(right_low, high), depth=leaf.depth + 1)
-        for record in leaf.records:
-            (left if record.position[j] < v else right).records.append(record)
-        left.interest = interest_of([r.gamma for r in left.records], self.window)
-        right.interest = interest_of([r.gamma for r in right.records], self.window)
+        goes_left = positions[:, j] < v
+        for record, is_left in zip(leaf.records, goes_left.tolist()):
+            side = left if is_left else right
+            side.records.append(record)
+            side.gammas.append(record.gamma)
+        for side, at in ((left, positions[goes_left]), (right, positions[~goes_left])):
+            if (at == at[0]).all():
+                side.shared_position = at[0].tolist()
+            side.interest = interest_of(side.gammas[-self.window :], self.window)
 
         leaf.split_dim, leaf.split_value = j, v
         leaf.left, leaf.right = left, right
         leaf.records = []
+        leaf.gammas = []
+        leaf.shared_position = None
         leaf.interest = 0.0
         self._leaves[self._leaves.index(leaf)] = left
         self._leaves.append(right)
 
-    def _score_candidates(
+    def _cut_scores(
         self, dims: np.ndarray, values: np.ndarray, positions: np.ndarray, gammas: np.ndarray
-    ) -> list[SplitCandidate]:
-        """Score the cuts ``position[dims[c]] < values[c]`` of the records.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Quality and side sizes of the cuts ``position[dims[c]] < values[c]``.
 
         A cut scores ``n_left * n_right * |interest(left) - interest(right)|``,
         or 0 when it leaves a side empty.
@@ -250,10 +292,13 @@ class RegionTree:
         right_interest = _interests_of_subsets(~left, gammas, self.window)
         gap = np.abs(left_interest - right_interest)
         quality = np.where((n_left > 0) & (n_right > 0), n_left * n_right * gap, 0.0)
-        return [
-            SplitCandidate(j, v, q, a, b)
-            for j, v, q, a, b in zip(dims.tolist(), values.tolist(), quality.tolist(), n_left.tolist(), n_right.tolist())
-        ]
+        return quality, n_left, n_right
+
+    def _score_candidates(
+        self, dims: np.ndarray, values: np.ndarray, positions: np.ndarray, gammas: np.ndarray
+    ) -> list[SplitCandidate]:
+        """The cuts of `_cut_scores` as candidates, in order."""
+        return _candidates(dims, values, *self._cut_scores(dims, values, positions, gammas))
 
     # ------------------------------------------------------------------ selection
 

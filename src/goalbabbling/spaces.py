@@ -40,7 +40,7 @@ class Box:
         return (self.low + self.high) / 2.0
 
     def contains(self, point: np.ndarray) -> bool:
-        return bool(np.all(point >= self.low) and np.all(point <= self.high))
+        return bool(((point >= self.low) & (point <= self.high)).all())
 
     def clip(self, point: np.ndarray) -> np.ndarray:
         return np.clip(point, self.low, self.high)

@@ -161,6 +161,23 @@ def test_eval_rejects_memory_of_another_world(demo_config, tmp_path, capsys):
     assert "8 params, 2 effect" in err and "2 context, 2 action, 2 effect" in err
 
 
+@pytest.mark.parametrize("config_name", ["arm2_demo", "map8_mid"])
+def test_eval_rejects_memory_with_non_finite_values(config_name, tmp_path, capsys):
+    config = bundled_config_path(config_name)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out), "--budget", "20"]) == 0
+    memory = out / "memory.csv"
+    lines = memory.read_text().splitlines()
+    columns = len(lines[0].split(","))
+    memory.write_text("\n".join(lines + [",".join(["nan"] * columns)]) + "\n")
+    db = tmp_path / "db.csv"
+    assert main(["testdb", "--config", str(config), "--count", "5", "--seed", "77", "--out", str(db)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--memory", str(memory), "--testdb", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert str(memory) in err and "data row 21 holds a non-finite value" in err
+
+
 def test_run_checks_test_db_before_training(demo_config, tmp_path, capsys):
     db = tmp_path / "db.csv"
     db.write_text("x,y,z\n1.0,2.0,3.0\n")

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from goalbabbling.competence import CompetenceConfig
+from goalbabbling.competence import CompetenceConfig, clip_to_gamma, competence_normalized, scaled_distance
+from goalbabbling.config import bundled_config_path, load_config
 from goalbabbling.explorers import (
     BLOCKED,
     REACHED,
     TIMEOUT,
     ReachingBudget,
+    ReachOutcome,
+    euclidean,
     make_subgoals,
     reach_evolving,
     reach_fixed,
@@ -24,8 +27,8 @@ def two_dof_world():
     return ArmWorld(ArmGeometry.equal_links(2, total_length=50.0), rest_angle=0.35)
 
 
-def seeded_memory(world, steps=500, seed=42):
-    memory = EvolvingMemory(world.n_dof, 2, neighbors=8, support_radius=0.5)
+def seeded_memory(world, steps=500, seed=42, neighbors=8, support_radius=0.5):
+    memory = EvolvingMemory(world.n_dof, 2, neighbors=neighbors, support_radius=support_radius)
     rng = np.random.default_rng(seed)
     alpha = world.rest_state()
     for _ in range(steps):
@@ -291,3 +294,187 @@ def test_fixed_rollout_allowance():
         ReachingBudget(velocity=1.0, explore_actions=50), COMP, rng=rng, allowance=3,
     )
     assert out.micro_actions_used == 3
+
+
+# ------------------------------------------------- block bursts vs one step at a time
+
+def reference_reach_evolving(
+    world, memory, alpha, goal, budget, competence, rng=None, hooks=None, allowance=None, learn=True, events=None
+):
+    """``reach_evolving`` as it was written one micro-action at a time,
+    reporting in `events` how each exploration burst ended."""
+    goal = np.asarray(goal, dtype=float)
+    start = world.forward(alpha)
+    current = start
+    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+    if gamma == 0.0:
+        return ReachOutcome(goal, current, 0.0, 0, REACHED, alpha.copy())
+    cap = budget.max_steps(scaled_distance(start, goal, competence))
+    if allowance is not None:
+        cap = min(cap, allowance)
+    steps = 0
+    best = euclidean(current, goal)
+    last_mark = best
+    stalled_phases = 0
+
+    def advance(delta):
+        nonlocal alpha, current, steps, best
+        result = world.step(alpha, delta)
+        if learn:
+            memory.insert(alpha, result.alpha - alpha, result.displacement)
+        alpha = result.alpha
+        current = result.effector_after
+        steps += 1
+        if hooks is not None:
+            hooks(current)
+        best = min(best, euclidean(current, goal))
+        return result
+
+    def clip_norm(vector, bound):
+        norm = math.sqrt(float(vector @ vector))
+        return vector * (bound / norm) if norm > bound else vector
+
+    while steps < cap:
+        model = memory.local_jacobian(alpha)
+        explore = model is None
+        if model is not None:
+            distance = euclidean(current, goal)
+            desired = (goal - current) * (min(budget.velocity, distance) / distance)
+            result = advance(clip_norm(model.pseudo_inverse @ desired, world.max_action_norm))
+            gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+            if gamma == 0.0:
+                return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
+            explore = euclidean(result.displacement, desired) > budget.prediction_error_max
+        if explore:
+            if budget.blocking_window:
+                stalled_phases = stalled_phases + 1 if best >= last_mark - 1e-6 else 0
+                last_mark = best
+                if stalled_phases >= budget.blocking_window:
+                    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+                    return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
+            if model is None and not budget.explore_actions:
+                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+                return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
+            for row in range(budget.explore_actions):
+                if steps >= cap:
+                    events.append("cut")
+                    break
+                delta = rng.uniform(-budget.explore_scale, budget.explore_scale, world.n_dof)
+                if np.linalg.norm(delta) > world.max_action_norm:
+                    events.append("clipped")
+                if advance(clip_norm(delta, world.max_action_norm)).clamped:
+                    events.append("clamped")
+                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+                if gamma == 0.0:
+                    events.append("reached mid-burst" if row < budget.explore_actions - 1 else "reached")
+                    return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
+            else:
+                events.append("full")
+    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+    return ReachOutcome(goal, current, gamma, steps, TIMEOUT, alpha.copy())
+
+
+def _memory_state(memory):
+    n = len(memory)
+    index = memory._index
+    tree_size = index._tree.n if index._tree is not None else 0
+    return index.points.copy(), memory._actions[:n].copy(), memory._effects[:n].copy(), index._tree_n, tree_size
+
+
+def _far_memory(world, config, count, seed=0):
+    """`count` exemplars at random joint states, none of them near the rest
+    state, so reaches from rest start without a local model."""
+    memory = EvolvingMemory(world.n_dof, 2, neighbors=config.regression_neighbors, support_radius=config.support_radius)
+    rng = np.random.default_rng(seed)
+    low, high = world.geometry.joint_low, world.geometry.joint_high
+    for _ in range(count):
+        alpha = rng.uniform(low, high)
+        while np.linalg.norm(alpha - world.rest_state()) < 4 * config.support_radius:
+            alpha = rng.uniform(low, high)
+        result = world.step(alpha, rng.uniform(-0.05, 0.05, world.n_dof))
+        memory.insert(alpha, result.alpha - alpha, result.displacement)
+    return memory
+
+
+BURST_CASES = {
+    # The tolerance counts a goal reached once the arm halves its distance,
+    # so random bursts reach goals and stop part-way through.
+    "reached mid-burst": dict(
+        budget=dict(velocity=0.25), competence=CompetenceConfig(reached_tolerance=-0.8), distance=(2.0, 8.0)
+    ),
+    "allowance cuts a burst": dict(allowance=7),
+    # Goals out of reach, so the arm stalls and the blocking check ends reaches.
+    "blocking window": dict(budget=dict(blocking_window=1), memory=("near", 300), distance=(60.0, 110.0)),
+    "no learning": dict(learn=False, memory=("near", 300)),
+    "no hooks": dict(hooks=False),
+    "rebuild inside a burst": dict(memory=("far", 505)),
+    "clipped and clamped": dict(budget=dict(explore_scale=0.3), start="near limit"),
+}
+
+
+@pytest.mark.parametrize("config_name", ["arm2_demo", "arm15_mid", "arm15_big"])
+@pytest.mark.parametrize("case", sorted(BURST_CASES))
+def test_block_bursts_match_one_step_at_a_time(config_name, case):
+    spec = BURST_CASES[case]
+    config = load_config(bundled_config_path(config_name))
+    world = config.build_world()
+    settings = dict(
+        velocity=config.velocity,
+        timeout_factor=config.timeout_factor,
+        explore_actions=20,
+        explore_scale=config.explore_scale,
+        prediction_error_max=config.mispredict_threshold,
+    )
+    budget = ReachingBudget(**{**settings, **spec.get("budget", {})})
+    competence = spec.get("competence", COMP)
+    kind, size = spec.get("memory", ("empty", 0))
+    make_memory = {
+        "empty": lambda: EvolvingMemory(world.n_dof, 2, config.regression_neighbors, config.support_radius),
+        "near": lambda: seeded_memory(world, size, 0, config.regression_neighbors, config.support_radius),
+        "far": lambda: _far_memory(world, config, size),
+    }[kind]
+    alpha = world.rest_state()
+    if spec.get("start") == "near limit":
+        alpha = world.geometry.joint_high - 0.02
+    rng = np.random.default_rng(len(case) + world.n_dof)
+    events, ends, rebuilt = [], set(), False
+    for trial in range(8):
+        low, high = spec.get("distance", (5.0, 60.0))
+        angle = rng.uniform(-math.pi, math.pi)
+        goal = world.forward(alpha) + rng.uniform(low, high) * np.array([math.cos(angle), math.sin(angle)])
+        runs = []
+        for reach in (reference_reach_evolving, reach_evolving):
+            memory = make_memory()
+            stream = np.random.default_rng(1000 + trial)
+            points = []
+            options = dict(events=events) if reach is reference_reach_evolving else {}
+            out = reach(
+                world, memory, alpha, goal, budget, competence, rng=stream,
+                hooks=None if spec.get("hooks") is False else points.append,
+                allowance=spec.get("allowance"), learn=spec.get("learn", True), **options,
+            )
+            runs.append((out, _memory_state(memory), points, stream.bit_generator.state))
+        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_points, got_state) = runs
+        for field in ("goal", "final", "final_state"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
+            ref.gamma, ref.micro_actions_used, ref.terminated_by
+        )
+        for got_part, ref_part in zip(got_memory, ref_memory):
+            assert np.array_equal(got_part, ref_part)
+        assert len(got_points) == len(ref_points)
+        assert all(np.array_equal(a, b) for a, b in zip(got_points, ref_points))
+        assert got_state == ref_state
+        ends.add(got.terminated_by)
+        rebuilt |= got_memory[4] > ref_memory[4] - got.micro_actions_used
+    assert events  # every case runs bursts
+    if case == "reached mid-burst":
+        assert "reached mid-burst" in events
+    if case == "allowance cuts a burst":
+        assert "cut" in events
+    if case == "blocking window":
+        assert BLOCKED in ends
+    if case == "clipped and clamped":
+        assert "clipped" in events and "clamped" in events
+    if case == "rebuild inside a burst":
+        assert rebuilt

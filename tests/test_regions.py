@@ -357,3 +357,137 @@ def test_depth_cap_stops_splitting():
     for leaf in tree.leaves():
         assert leaf.depth <= 2
     assert tree.total_records == 200
+
+
+# ------------------------------------------------- per-leaf gammas, cut pick, degenerate leaves
+
+def _grid_stream(seed, count, levels=4):
+    """Points on a coarse grid (many exact repeats, cuts on ties) with
+    gammas from a few values (ties on quality)."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, levels, size=(count, 2)) / (levels - 1)
+    gammas = -rng.integers(0, 3, size=count) / 2.0
+    return points, gammas
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leaf_gammas_follow_records_through_splits(seed):
+    tree = make_tree(capacity=6, seed=seed)
+    points, gammas = _grid_stream(seed, 400, levels=6)
+    rng = np.random.default_rng(seed)
+    for point, gamma in zip(np.vstack([points, rng.random((200, 2))]), np.concatenate([gammas, -rng.random(200)])):
+        tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+        for leaf in tree.leaves():
+            assert leaf.gammas == [r.gamma for r in leaf.records]
+            positions = {tuple(r.position.tolist()) for r in leaf.records}
+            shared = leaf.shared_position
+            assert (shared is not None) == (len(positions) == 1)
+            if shared is not None:
+                assert positions == {tuple(shared)}
+    for node in _internal_nodes(tree.root):
+        assert node.records == [] and node.gammas == [] and node.shared_position is None
+
+
+def _internal_nodes(node):
+    if node.is_leaf:
+        return []
+    return [node] + _internal_nodes(node.left) + _internal_nodes(node.right)
+
+
+def _max_pick(candidates):
+    return max(candidates, key=lambda c: (c.quality, c.n_left * c.n_right))
+
+
+@pytest.mark.parametrize("count", [3, 11, 40, 97])
+def test_best_cut_pick_equals_max_over_candidates(count):
+    from goalbabbling.regions import _best_cut
+
+    tree = make_tree(window=6, seed=count)
+    rng = np.random.default_rng(count)
+    for trial in range(50):
+        positions, gammas = _grid_stream(count * 100 + trial, count)
+        dims = rng.integers(0, 2, size=50)
+        values = rng.integers(0, 5, size=50) / 4.0
+        quality, n_left, n_right = tree._cut_scores(dims, values, positions, gammas)
+        candidates = tree._score_candidates(dims, values, positions, gammas)
+        first_max = max(range(len(candidates)), key=lambda i: (candidates[i].quality, candidates[i].n_left * candidates[i].n_right))
+        assert _best_cut(quality, n_left * n_right) == first_max
+    # Hand-made ties: on quality (0 for every cut) and on the balance product.
+    quality = np.array([0.0, 0.5, 0.5, 0.25, 0.5])
+    balance = np.array([9, 4, 6, 9, 6])
+    assert _best_cut(quality, balance) == 2
+    assert _best_cut(np.zeros(4), np.array([0, 3, 3, 2])) == 1
+    assert _best_cut(np.zeros(3), np.zeros(3, dtype=int)) == 0
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_split_log_does_not_change_the_splits(seed):
+    trees = [make_tree(capacity=8, seed=seed, log_splits=flag) for flag in (False, True)]
+    points, gammas = _grid_stream(seed, 600, levels=8)
+    for tree in trees:
+        for point, gamma in zip(points, gammas):
+            tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+    plain, logged = trees
+    assert plain.split_log is None and logged.split_log
+    assert plain.rng.bit_generator.state == logged.rng.bit_generator.state
+    for a, b in zip(plain.snapshot(), logged.snapshot(), strict=True):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+    for event in logged.split_log:
+        last = event.candidates[-logged.split_candidates :]
+        if any(c.n_left and c.n_right for c in last):
+            assert event.chosen == _max_pick(last)
+        else:  # the median fallback
+            assert len(event.candidates) == logged.split_retries * logged.split_candidates
+
+
+class _ScoringEveryTree(RegionTree):
+    """Scores every split attempt, as if no leaf were known to sit on one point."""
+
+    def _split(self, leaf):
+        leaf.shared_position = None
+        super()._split(leaf)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_degenerate_shortcut_keeps_splits_and_stream(seed):
+    # Repeats of a few points fill leaves that sit on one point; the
+    # shortcut must leave every split and every draw as scoring does.
+    rng = np.random.default_rng(seed)
+    anchors = rng.random((3, 2))
+    points = np.vstack(
+        [anchors[rng.integers(0, 3, size=300)], rng.random((60, 2)), anchors[rng.integers(0, 3, size=200)]]
+    )
+    gammas = -rng.random(points.shape[0])
+    box = Box(np.zeros(2), np.ones(2))
+    trees = [
+        tree_type(box, rng=np.random.default_rng(seed), window=6, capacity=5, split_candidates=25)
+        for tree_type in (RegionTree, _ScoringEveryTree)
+    ]
+    for tree in trees:
+        for point, gamma in zip(points, gammas):
+            tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+    fast, slow = trees
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+    for a, b in zip(fast.snapshot(), slow.snapshot(), strict=True):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+
+
+def test_identical_updates_stay_cheap_and_draw_as_before():
+    import time
+
+    tree = RegionTree(Box(np.zeros(2), np.ones(2)), rng=np.random.default_rng(21))
+    reference = np.random.default_rng(21)
+    point = np.array([0.25, 0.75])
+    started = time.perf_counter()
+    for i in range(2000):
+        tree.update(point, -0.5, RecordOrigin.EN_ROUTE)
+        if i + 1 > tree.capacity:  # a split attempt: retries x (dims, values)
+            for _ in range(tree.split_retries):
+                reference.integers(0, 2, size=tree.split_candidates)
+                reference.random(tree.split_candidates)
+    assert time.perf_counter() - started < 5.0
+    assert len(tree.leaves()) == 1 and tree.total_records == 2000
+    assert tree.rng.bit_generator.state == reference.bit_generator.state
+    # A second position makes the leaf splittable again.
+    tree.update(np.array([0.75, 0.25]), -1.0, RecordOrigin.EN_ROUTE)
+    assert tree.root.shared_position is None and len(tree.leaves()) == 2
