@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 # tracer wraps it by name; evaluation itself reaches in lockstep.
 from .explorers import ReachingBudget, euclidean, reach_evolving, reach_evolving_lockstep  # noqa: F401
 from .kinematics import ArmWorld
-from .experiment import RunLog, competence_config, run_experiment
+from .experiment import RunLog, competence_config, reaching_budget, run_experiment
 
 
 # Evaluation checkpoint schedule used when a caller does not pick one.
@@ -109,15 +109,7 @@ def make_test_db(world, count: int, seed: int, batch: int = 1024) -> np.ndarray:
 def exploitation_budget(config: ExperimentConfig) -> ReachingBudget:
     """Same step allowance as learning, but any need for exploration ends
     the attempt immediately."""
-    return ReachingBudget(
-        velocity=config.velocity,
-        timeout_factor=config.timeout_factor,
-        explore_actions=0,
-        blocking_window=1,
-        prediction_error_max=config.mispredict_threshold,
-        explore_scale=config.explore_scale,
-        explore_noise=config.explore_noise,
-    )
+    return dataclasses.replace(reaching_budget(config), explore_actions=0, blocking_window=1)
 
 
 def exploitation_competence(config: ExperimentConfig) -> CompetenceConfig:

@@ -115,7 +115,7 @@ def competence_config(config: ExperimentConfig) -> CompetenceConfig:
     return CompetenceConfig(config.reached_tolerance, config.min_start_distance, config.dim_scales())
 
 
-def _reaching_budget(config: ExperimentConfig) -> ReachingBudget:
+def reaching_budget(config: ExperimentConfig) -> ReachingBudget:
     return ReachingBudget(
         velocity=config.velocity,
         timeout_factor=config.timeout_factor,
@@ -196,7 +196,7 @@ def _run_goal_babbling_arm(config, world: ArmWorld, streams, marks: _Checkpoints
     )
     tree = _build_tree(config, streams.goals)
     competence = competence_config(config)
-    budget = _reaching_budget(config)
+    budget = reaching_budget(config)
 
     def conserve(point: np.ndarray) -> None:
         tree.update(point, max_competence(), RecordOrigin.EN_ROUTE)
@@ -400,7 +400,7 @@ def _run_goal_babbling_map(config, world: SynergyWorld, streams, marks: _Checkpo
     )
     tree = _build_tree(config, streams.goals)
     competence = competence_config(config)
-    budget = _reaching_budget(config)
+    budget = reaching_budget(config)
 
     def conserve(point: np.ndarray) -> None:
         tree.update(point, max_competence(), RecordOrigin.EN_ROUTE)

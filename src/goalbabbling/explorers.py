@@ -10,7 +10,10 @@ Two reaching procedures share the same outcome contract:
   the actions one at a time.
 * ``reach_fixed`` predicts episode parameters from the local inverse model,
   and hill-climbs with distance-proportional parameter noise when the
-  prediction does not improve on the best known outcome.
+  prediction does not improve on the best known outcome.  The hill-climb's
+  noise is drawn at once, and the candidates around one best are rolled
+  out and scored as one block, kept up to the first that improves on it,
+  with the same draws, records and outcome as one rollout at a time.
 
 Every executed micro-action/rollout is inserted into memory exactly once
 and reported through the ``hooks`` callback (used for en-route crediting),
@@ -104,13 +107,15 @@ def _clip_norm(vector: np.ndarray, bound: float) -> np.ndarray:
     return vector
 
 
-def _reaches(goals: np.ndarray, points: np.ndarray, start_distance, competence: CompetenceConfig) -> np.ndarray:
-    """Whether each row of `points` reaches its goal, from a start
-    `start_distance` (at least ``min_start_distance``) away: row by row,
-    ``clip_to_gamma(competence_normalized(...)) == 0.0``."""
+def _gammas(goals: np.ndarray, points: np.ndarray, start_distance, competence: CompetenceConfig) -> np.ndarray:
+    """Clipped competence of each row of `points` as the end of an attempt at
+    its goal from a start `start_distance` away: row by row,
+    ``clip_to_gamma(competence_normalized(...))``, bit for bit."""
     final = scaled_distances(goals, points, competence)
+    near = np.asarray(start_distance) < competence.min_start_distance
+    start_distance = np.where(near, 1.0, start_distance)
     c = np.where(final > start_distance, -1.0, -final / start_distance)
-    return ~(c <= competence.reached_tolerance)
+    return np.where(near | ~(c <= competence.reached_tolerance), 0.0, c)
 
 
 def _explore_block(
@@ -222,7 +227,7 @@ def reach_evolving(
                 deltas = rng.uniform(-budget.explore_scale, budget.explore_scale, (count, world.n_dof))
                 alphas, effectors = _explore_block(world, alpha, current, deltas)
                 after = effectors[1:]
-                reached = np.flatnonzero(_reaches(goal, after, start_distance, competence))
+                reached = np.flatnonzero(_gammas(goal, after, start_distance, competence) == 0.0)
                 kept = int(reached[0]) + 1 if reached.size else count
                 if kept < count:
                     # Leave the stream where drawing one action at a time would.
@@ -303,7 +308,7 @@ def reach_evolving_lockstep(
             d = np.sqrt(np.vecdot(after - goal, after - goal))
             distance[moving] = d
             best[moving] = np.where(d < best[moving], d, best[moving])
-            reached = _reaches(goal, after, start_distance[moving], competence)
+            reached = _gammas(goal, after, start_distance[moving], competence) == 0.0
             miss = after - current - desired
             done[fitted] = reached
             explore[fitted] = ~reached & (np.sqrt(np.vecdot(miss, miss)) > budget.prediction_error_max)
@@ -345,7 +350,8 @@ def reach_fixed(
     when the predicted rollout fails to improve on the closest outcome
     already in memory, and each explorative parameter vector is drawn
     around the best one found so far with noise proportional to the
-    remaining distance.
+    remaining distance.  The first rollout goes through ``world.rollout``,
+    the hill-climb's through ``world.rollout_many``.
     """
     goal = np.asarray(goal, dtype=float)
     start = world.rest_effect()
@@ -365,15 +371,15 @@ def reach_fixed(
     else:
         theta = rng.uniform(0.0, 1.0, world.param_dim)
 
-    def _rollout(params: np.ndarray) -> tuple[np.ndarray, float]:
-        outcome = world.rollout(params)
+    def _record(params: np.ndarray, outcome: np.ndarray) -> None:
         if learn:
             memory.insert(params, outcome)
         if hooks is not None:
             hooks(outcome)
-        return outcome, clip_to_gamma(competence_normalized(goal, outcome, start, competence), competence)
 
-    outcome, gamma = _rollout(theta)
+    outcome = world.rollout(theta)
+    _record(theta, outcome)
+    gamma = clip_to_gamma(competence_normalized(goal, outcome, start, competence), competence)
     rollouts = 1
     best_theta, best_outcome, best_gamma = theta, outcome, gamma
     if gamma == 0.0:
@@ -381,16 +387,34 @@ def reach_fixed(
 
     attempt_distance = scaled_distance(goal, outcome, competence)
     inefficient = known_best is None or attempt_distance > known_best
-    if inefficient:
-        while rollouts < cap:
-            noise = rng.uniform(-1.0, 1.0, world.param_dim)
+    count = cap - rollouts
+    if inefficient and count:
+        # All the hill-climbing noise in one draw.  The rollouts go in
+        # segments: every row of a segment is drawn around the same best
+        # parameters, so all of them run as one block, and the segment ends
+        # at its first row that improves on the best.
+        drawn = rng.bit_generator.state
+        noise = rng.uniform(-1.0, 1.0, (count, world.param_dim))
+        start_distance = scaled_distance(start, goal, competence)
+        row = 0
+        while row < count:
             spread = budget.explore_noise * scaled_distance(goal, best_outcome, competence)
-            candidate = np.clip(best_theta + noise * spread, 0.0, 1.0)
-            outcome, gamma = _rollout(candidate)
-            rollouts += 1
-            if gamma > best_gamma:
-                best_theta, best_outcome, best_gamma = candidate, outcome, gamma
-            if gamma == 0.0:
-                return ReachOutcome(goal, outcome, 0.0, rollouts, REACHED, best_theta)
+            candidates = np.clip(best_theta + noise[row:] * spread, 0.0, 1.0)
+            outcomes = world.rollout_many(candidates)
+            gammas = _gammas(goal, outcomes, start_distance, competence)
+            better = np.flatnonzero(gammas > best_gamma)
+            kept = int(better[0]) + 1 if better.size else count - row
+            for i in range(kept):
+                _record(candidates[i], outcomes[i])
+            row += kept
+            if better.size:
+                best_theta, best_outcome, best_gamma = candidates[kept - 1], outcomes[kept - 1], float(gammas[kept - 1])
+                if best_gamma == 0.0:
+                    if row < count:
+                        # Leave the stream where drawing one row per rollout would.
+                        rng.bit_generator.state = drawn
+                        rng.uniform(-1.0, 1.0, (row, world.param_dim))
+                    return ReachOutcome(goal, best_outcome, 0.0, rollouts + row, REACHED, best_theta)
+        rollouts += count
 
     return ReachOutcome(goal, best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)

@@ -140,6 +140,7 @@ class NearestIndex:
         if self._n == 0:
             raise EmptyMemoryError("nearest-neighbor query on empty memory")
         rows = keys.shape[0]
+        row_of = np.arange(rows)[:, None]  # row index column for fancy indexing
         k_eff = min(k, self._n)
         tail = self._rows[self._tree_n : self._n]
         cand_idx: list[np.ndarray] = []
@@ -161,13 +162,13 @@ class NearestIndex:
                     d2[lo : lo + _TAIL_CHUNK] = np.einsum("gij,gij->gi", diff, diff)
                 picked = _smallest_stable(d2, kt)
                 order[block : block + _TAIL_BLOCK] = picked
-                kept_d2[block : block + _TAIL_BLOCK] = np.take_along_axis(d2, picked, axis=1)
+                kept_d2[block : block + _TAIL_BLOCK] = d2[row_of[: d2.shape[0]], picked]
             cand_idx.append(order + self._tree_n)
             cand_dist.append(np.sqrt(kept_d2))
         idx = np.concatenate(cand_idx, axis=1)
         dist = np.concatenate(cand_dist, axis=1)
         order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
-        return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dist, order, axis=1)
+        return idx[row_of, order], dist[row_of, order]
 
 
 def _smallest_stable(values: np.ndarray, k: int) -> np.ndarray:
@@ -179,10 +180,11 @@ def _smallest_stable(values: np.ndarray, k: int) -> np.ndarray:
     """
     if k >= values.shape[1]:
         return np.argsort(values, axis=1, kind="stable")
+    row_of = np.arange(values.shape[0])[:, None]
     picked = np.argpartition(values, k - 1, axis=1)[:, :k]
     picked.sort(axis=1)  # index order, so the stable sort breaks ties by index
-    picked_values = np.take_along_axis(values, picked, axis=1)
-    order = np.take_along_axis(picked, np.argsort(picked_values, axis=1, kind="stable"), axis=1)
+    picked_values = values[row_of, picked]
+    order = picked[row_of, np.argsort(picked_values, axis=1, kind="stable")]
     kth = picked_values.max(axis=1)
     redo = (np.count_nonzero(values <= kth[:, None], axis=1) > k) | np.isnan(kth)
     if redo.any():

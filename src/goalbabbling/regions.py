@@ -82,6 +82,8 @@ class Region:
     # or there are none.  While it is set, no cut can split the leaf.
     shared_position: list[float] | None = None
     interest: float = 0.0
+    # Position of a leaf in its tree's leaf list.
+    slot: int = 0
     split_dim: int | None = None
     split_value: float = 0.0
     left: "Region | None" = None
@@ -171,6 +173,9 @@ class RegionTree:
         self.split_retries = int(split_retries)
         self.root = Region(bounds)
         self._leaves: list[Region] = [self.root]
+        # The leaves' interests, in step with `_leaves`: slot i holds leaf
+        # i's; the array grows by doubling and its tail is unused.
+        self._interests = np.zeros(64)
         self._order = 0
         self.total_records = 0
         self.clipped_updates = 0
@@ -204,7 +209,7 @@ class RegionTree:
         leaf.gammas.append(gamma)
         self._order += 1
         self.total_records += 1
-        leaf.interest = interest_of(leaf.gammas[-self.window :], self.window)
+        leaf.interest = self._interests[leaf.slot] = interest_of(leaf.gammas[-self.window :], self.window)
         if len(leaf.records) > self.capacity and leaf.depth < self.max_depth:
             self._split(leaf)
         return leaf
@@ -256,8 +261,8 @@ class RegionTree:
         left_high[j] = v
         right_low = low.copy()
         right_low[j] = v
-        left = Region(Box(low, left_high), depth=leaf.depth + 1)
-        right = Region(Box(right_low, high), depth=leaf.depth + 1)
+        left = Region(Box(low, left_high), depth=leaf.depth + 1, slot=leaf.slot)
+        right = Region(Box(right_low, high), depth=leaf.depth + 1, slot=len(self._leaves))
         goes_left = positions[:, j] < v
         for record, is_left in zip(leaf.records, goes_left.tolist()):
             side = left if is_left else right
@@ -274,8 +279,12 @@ class RegionTree:
         leaf.gammas = []
         leaf.shared_position = None
         leaf.interest = 0.0
-        self._leaves[self._leaves.index(leaf)] = left
+        if right.slot == self._interests.shape[0]:
+            self._interests = np.concatenate([self._interests, np.zeros_like(self._interests)])
+        self._leaves[left.slot] = left
         self._leaves.append(right)
+        self._interests[left.slot] = left.interest
+        self._interests[right.slot] = right.interest
 
     def _cut_scores(
         self, dims: np.ndarray, values: np.ndarray, positions: np.ndarray, gammas: np.ndarray
@@ -310,7 +319,7 @@ class RegionTree:
 
         When every leaf has the same interest the choice is uniform.
         """
-        interests = np.array([leaf.interest for leaf in self._leaves])
+        interests = self._interests[: len(self._leaves)]
         weights = interests - interests.min()
         total = weights.sum()
         if total <= 0.0:

@@ -29,10 +29,9 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 class RngStreams:
-    """All named streams for one run, created eagerly from one seed."""
+    """The streams one run draws from, created eagerly from one seed."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.goals = stream(seed, "goals")
         self.exploration = stream(seed, "exploration")
-        self.environment = stream(seed, "environment")

@@ -1,10 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from goalbabbling.competence import CompetenceConfig, clip_to_gamma, competence_normalized, scaled_distance
+from goalbabbling.competence import (
+    CompetenceConfig,
+    clip_to_gamma,
+    competence_normalized,
+    scaled_distance,
+    scaled_distances,
+)
 from goalbabbling.config import bundled_config_path, load_config
+from goalbabbling.experiment import competence_config
 from goalbabbling.explorers import (
     BLOCKED,
     REACHED,
@@ -12,6 +20,7 @@ from goalbabbling.explorers import (
     ReachingBudget,
     ReachOutcome,
     euclidean,
+    _gammas,
     make_subgoals,
     reach_evolving,
     reach_fixed,
@@ -216,6 +225,9 @@ class LinearWorld:
         theta = np.asarray(theta, dtype=float)
         return self.mapping @ theta
 
+    def rollout_many(self, thetas):
+        return np.array([self.rollout(theta) for theta in thetas])
+
     def rest_effect(self):
         return self.mapping @ np.full(self.param_dim, 0.5)
 
@@ -294,6 +306,29 @@ def test_fixed_rollout_allowance():
         ReachingBudget(velocity=1.0, explore_actions=50), COMP, rng=rng, allowance=3,
     )
     assert out.micro_actions_used == 3
+
+
+# ------------------------------------------------------------ block competence
+
+@pytest.mark.parametrize(
+    "competence",
+    [COMP, CompetenceConfig(reached_tolerance=-0.3, min_start_distance=0.5, dim_scales=np.array([0.5, 2.0]))],
+)
+def test_gammas_equal_the_scalar_competence(competence):
+    # Goals from on top of the start (below min_start_distance) to far away,
+    # points from on the goal to beyond the start.
+    rng = np.random.default_rng(0)
+    start = np.array([1.0, -2.0])
+    goals = start + rng.normal(size=(300, 2)) * rng.choice([1e-4, 0.3, 3.0], size=(300, 1))
+    points = goals + rng.normal(size=(300, 2)) * rng.choice([0.0, 0.01, 1.0, 10.0], size=(300, 1))
+    expected = [clip_to_gamma(competence_normalized(g, p, start, competence), competence) for g, p in zip(goals, points)]
+    start_distance = scaled_distances(start, goals, competence)
+    assert np.array_equal(_gammas(goals, points, start_distance, competence), expected)
+    for goal, point, gamma in zip(goals, points, expected):
+        assert _gammas(goal, point[None], scaled_distance(start, goal, competence), competence)[0] == gamma
+    kinds = {0.0, -1.0}
+    assert (start_distance < competence.min_start_distance).any()
+    assert kinds <= set(expected) and any(g not in kinds for g in expected)
 
 
 # ------------------------------------------------- block bursts vs one step at a time
@@ -478,3 +513,173 @@ def test_block_bursts_match_one_step_at_a_time(config_name, case):
         assert "clipped" in events and "clamped" in events
     if case == "rebuild inside a burst":
         assert rebuilt
+
+
+# ------------------------------------------- block hill-climb vs one rollout at a time
+
+def reference_reach_fixed(
+    world, memory, goal, budget, competence, rng=None, hooks=None, allowance=None, learn=True, events=None
+):
+    """``reach_fixed`` as it was written one rollout at a time, reporting in
+    `events` how its hill-climb went."""
+    goal = np.asarray(goal, dtype=float)
+    start = world.rest_effect()
+    cap = 1 + budget.explore_actions
+    if allowance is not None:
+        cap = min(cap, allowance)
+    if cap <= 0:
+        return ReachOutcome(goal, start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
+    known_best = None
+    if len(memory):
+        idx, _ = memory.nearest_effect(goal, 1)
+        known_best = scaled_distance(goal, memory.effects[idx[0]], competence)
+        theta = np.clip(memory.local_inverse(goal)[0], 0.0, 1.0)
+    else:
+        events.append("random first theta")
+        theta = rng.uniform(0.0, 1.0, world.param_dim)
+
+    def rollout(params):
+        outcome = world.rollout(params)
+        if learn:
+            memory.insert(params, outcome)
+        if hooks is not None:
+            hooks(outcome)
+        return outcome, clip_to_gamma(competence_normalized(goal, outcome, start, competence), competence)
+
+    outcome, gamma = rollout(theta)
+    rollouts = 1
+    best_theta, best_outcome, best_gamma = theta, outcome, gamma
+    if gamma == 0.0:
+        return ReachOutcome(goal, outcome, 0.0, rollouts, REACHED, best_theta)
+    if known_best is None or scaled_distance(goal, outcome, competence) > known_best:
+        if cap == 1:
+            events.append("no room")
+        elif cap < 1 + budget.explore_actions:
+            events.append("cut")
+        improved = False
+        while rollouts < cap:
+            noise = rng.uniform(-1.0, 1.0, world.param_dim)
+            spread = budget.explore_noise * scaled_distance(goal, best_outcome, competence)
+            candidate = np.clip(best_theta + noise * spread, 0.0, 1.0)
+            outcome, gamma = rollout(candidate)
+            rollouts += 1
+            if gamma > best_gamma:
+                improved = True
+                best_theta, best_outcome, best_gamma = candidate, outcome, gamma
+                if gamma != 0.0 and rollouts < cap:
+                    events.append("improved mid-block")
+            if gamma == 0.0:
+                events.append("reached mid-block" if rollouts < cap else "reached at the end")
+                return ReachOutcome(goal, outcome, 0.0, rollouts, REACHED, best_theta)
+        if not improved and cap > 1:
+            events.append("no improvement")
+    return ReachOutcome(goal, best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)
+
+
+def _fixed_memory_state(memory):
+    state = [memory.params.copy(), memory.effects.copy()]
+    for index in (memory._effect_index, memory._param_index):
+        state += [index._tree_n, index._tree.n if index._tree is not None else 0]
+    return state
+
+
+FIXED_CASES = {
+    # The tolerance counts a goal reached once the outcome halves its
+    # distance, so hill-climbs reach goals part-way through their block.
+    "reached mid-block": dict(tolerance=-0.5),
+    "improved mid-block": dict(),
+    # Rare on the linear double, so more goals.
+    "no improvement": dict(trials=40),
+    "allowance of one": dict(allowance=1),
+    "allowance cuts the block": dict(allowance=4),
+    "no learning": dict(learn=False),
+    "no hooks": dict(hooks=False),
+    "empty memory": dict(memory=0),
+    "no noise": dict(budget=dict(explore_noise=0.0)),
+    "rebuild inside a block": dict(memory=505),
+}
+
+
+def _fixed_world(name):
+    """The world, its competence, a goal sampler and the world whose
+    outcomes fill the memory, for a LinearWorld double or a bundled
+    episodic config.
+
+    A linear map's local inverse is exact, so the double's memory holds the
+    outcomes of another map: its predictions miss and hill-climbs run.
+    """
+    if name == "linear":
+        world, _ = linear_world(seed=5)
+
+        def sample_goal(rng):
+            return world.mapping @ rng.uniform(-0.5, 1.5, world.param_dim)
+
+        return world, COMP, sample_goal, linear_world(seed=6)[0]
+    config = load_config(bundled_config_path(name))
+    world = config.build_world()
+    return world, competence_config(config), config.task_box.sample, world
+
+
+@pytest.mark.parametrize("world_name", ["linear", "map8_mid"])
+@pytest.mark.parametrize("case", sorted(FIXED_CASES))
+def test_block_hill_climb_matches_one_rollout_at_a_time(world_name, case):
+    spec = FIXED_CASES[case]
+    world, competence, sample_goal, fill_world = _fixed_world(world_name)
+    if "tolerance" in spec:
+        competence = dataclasses.replace(competence, reached_tolerance=spec["tolerance"])
+    budget = ReachingBudget(velocity=1.0, explore_actions=10, **spec.get("budget", {}))
+    size = spec.get("memory", 40)
+
+    def make_memory():
+        memory = FixedMemory(world.param_dim, 2, inverse_candidates=5, inverse_neighborhood=10)
+        fill = np.random.default_rng(17)
+        for _ in range(size):
+            theta = fill.random(world.param_dim)
+            memory.insert(theta, fill_world.rollout(theta))
+        return memory
+
+    rng = np.random.default_rng(len(case))
+    events, rebuilt = [], False
+    for trial in range(spec.get("trials", 12)):
+        goal = sample_goal(rng)
+        runs = []
+        for reach in (reference_reach_fixed, reach_fixed):
+            memory = make_memory()
+            stream = np.random.default_rng(2000 + trial)
+            points = []
+            options = dict(events=events) if reach is reference_reach_fixed else {}
+            out = reach(
+                world, memory, goal, budget, competence, rng=stream,
+                hooks=None if spec.get("hooks") is False else points.append,
+                allowance=spec.get("allowance"), learn=spec.get("learn", True), **options,
+            )
+            runs.append((out, _fixed_memory_state(memory), points, stream.bit_generator.state))
+        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_points, got_state) = runs
+        for field in ("goal", "final", "final_state"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
+            ref.gamma, ref.micro_actions_used, ref.terminated_by
+        )
+        assert type(got.gamma) is float
+        for got_part, ref_part in zip(got_memory, ref_memory):
+            assert np.array_equal(got_part, ref_part)
+        assert len(got_points) == len(ref_points)
+        assert all(np.array_equal(a, b) for a, b in zip(got_points, ref_points))
+        assert got_state == ref_state
+        rebuilt |= got_memory[2] > size
+    expected = {
+        "reached mid-block": "reached mid-block",
+        "improved mid-block": "improved mid-block",
+        "no improvement": "no improvement",
+        "allowance of one": "no room",
+        "allowance cuts the block": "cut",
+        "empty memory": "random first theta",
+        "no noise": "no improvement",
+    }.get(case, "improved mid-block")
+    assert expected in events
+    if case == "rebuild inside a block":
+        assert rebuilt
+    if case == "no learning":
+        assert len(memory) == size
+    if case == "no noise":
+        assert "improved mid-block" not in events

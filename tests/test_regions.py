@@ -258,6 +258,7 @@ def test_leaf_probabilities_min_subtraction():
     tree.root.left, tree.root.right = left, right
     tree._leaves = [left, right_bottom, right_top]
     left.interest, right_bottom.interest, right_top.interest = 0.2, 0.1, 0.1
+    tree._interests = np.array([leaf.interest for leaf in tree._leaves])
     np.testing.assert_allclose(tree.leaf_probabilities(), [1.0, 0.0, 0.0])
 
 
@@ -368,6 +369,30 @@ def _grid_stream(seed, count, levels=4):
     points = rng.integers(0, levels, size=(count, 2)) / (levels - 1)
     gammas = -rng.integers(0, 3, size=count) / 2.0
     return points, gammas
+
+
+def _probabilities_from_scratch(tree):
+    interests = np.array([leaf.interest for leaf in tree.leaves()])
+    weights = interests - interests.min()
+    total = weights.sum()
+    if total <= 0.0:
+        return np.full(len(interests), 1.0 / len(interests))
+    return weights / total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leaf_probabilities_equal_the_formula_through_splits(seed):
+    tree = make_tree(capacity=5, seed=seed)
+    points, gammas = _grid_stream(seed, 300, levels=5)
+    rng = np.random.default_rng(seed + 50)
+    stream = zip(np.vstack([points, rng.random((300, 2))]), np.concatenate([gammas, -rng.random(300)]))
+    for step, (point, gamma) in enumerate(stream):
+        tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+        if step % 3 == 0:
+            assert [leaf.slot for leaf in tree.leaves()] == list(range(len(tree.leaves())))
+            assert np.array_equal(tree.leaf_probabilities(), _probabilities_from_scratch(tree))
+            tree.select_goal()
+    assert len(tree.leaves()) > 64  # past the interest array's first size
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
