@@ -340,7 +340,8 @@ class ActuatorRiacPolicy:
         # and, one column per leaf, the half-open box [low, high) of states
         # that the splits above it admit (the outer bounds of the space admit
         # every state).  Only `observe` changes the tree, and it keeps these
-        # in step.
+        # in step; with no state dimensions nothing reads them, and they stay
+        # as built.
         self._ordered = [self.tree.root]
         self._interests = np.array([self.tree.root.interest])
         self._state_low = np.full((self.state_dim, 1), -np.inf)
@@ -357,8 +358,9 @@ class ActuatorRiacPolicy:
     def choose_point(self, state: np.ndarray | None = None) -> np.ndarray:
         """Sample an input-space point; `state` constrains the leading dims."""
         if state is None:
-            leaves = self.tree.leaves()
-            interests = np.array([leaf.interest for leaf in leaves])
+            # The tree keeps its leaves' interests in step with its leaf list.
+            leaves = self.tree._leaves
+            interests = self.tree._interests[: len(leaves)]
         else:
             admitted = self._admitted(state)
             interests = self._interests[admitted]
@@ -373,6 +375,8 @@ class ActuatorRiacPolicy:
 
     def observe(self, point: np.ndarray, error: float) -> None:
         leaf = self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
+        if not self.state_dim:
+            return  # `choose_point` reads the tree's own leaves and interests
         i = self._ordered.index(leaf)
         if leaf.is_leaf:
             self._interests[i] = leaf.interest

@@ -363,11 +363,13 @@ def reach_fixed(
 
     known_best: float | None = None
     if len(memory):
+        predicted, _, nearest = memory.local_inverse(goal)
+        if nearest < 0:
+            nearest = memory.nearest_effect(goal, 1)[0][0]
         # Closest already-observed outcome, measured in the same (possibly
         # rescaled) metric as the attempt distances.
-        idx, _ = memory.nearest_effect(goal, 1)
-        known_best = scaled_distance(goal, memory.effects[idx[0]], competence)
-        theta = np.clip(memory.local_inverse(goal)[0], 0.0, 1.0)
+        known_best = scaled_distance(goal, memory.effects[nearest], competence)
+        theta = np.clip(predicted, 0.0, 1.0)
     else:
         theta = rng.uniform(0.0, 1.0, world.param_dim)
 

@@ -2,8 +2,10 @@
 
 Entries are stored in flat growing arrays; nearest-neighbor retrieval runs
 on a kd-tree that is rebuilt every few hundred inserts, with the
-not-yet-indexed tail scanned exactly.  Queries are exact by default; an
-approximation slack can be passed through to the tree for large memories.
+not-yet-indexed tail searched exactly.  A batched query over many keys
+picks its tail points through one matrix product per block of keys that
+rules out the far rows with a proven rounding bound, and recomputes exact
+distances for the rest, so it returns the same bits as one query per key.
 
 Two memory flavours exist:
 
@@ -20,10 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Keys per tail scan, and per pick of the nearest tail points, in
-# `NearestIndex.query_many`.
+# Keys per exact tail scan, so the (keys x tail x dim) difference array
+# stays small.
 _TAIL_CHUNK = 8
-_TAIL_BLOCK = 128
+# From this much work (keys x tail rows x dim) on, `query_many` filters the
+# tail through a matrix product instead of scanning it.
+_FILTER_MIN_WORK = 32_768
+# Keys per filtered block.  A product of at most 2**18 multiply-adds runs
+# on one OpenBLAS thread; on a 2-core machine a 100 x 15 by 15 x 464
+# product took 14.8 ms on two threads and 0.17 ms on one.  32 keys against
+# a full 511-row tail in 15-D (16 columns with the norm) stay below it.
+_BLOCK_KEYS = 32
+_ONE_THREAD_WORK = 1 << 18
+# The tail filter's rounding bound is _ROUNDING * (dim + 3) relative to
+# (|q| + max|t|)^2; `_filtered_tail` proves that it suffices.
+_ROUNDING = 2.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class EmptyMemoryError(RuntimeError):
@@ -74,13 +88,12 @@ class LocalLinearModel:
 class NearestIndex:
     """Append-only point set with amortized kd-tree nearest-neighbor search.
 
-    Points newer than the last tree build are scanned exactly, so queries
-    stay exact (or within the tree's (1+eps) bound when eps > 0).
+    Points newer than the last tree build (the tail, at most
+    ``rebuild_every - 1`` rows) are searched exactly, so queries stay exact.
     """
 
-    def __init__(self, dim: int, eps: float = 0.0, rebuild_every: int = 512):
+    def __init__(self, dim: int, rebuild_every: int = 512):
         self.dim = int(dim)
-        self.eps = float(eps)
         self.rebuild_every = int(rebuild_every)
         self._rows = np.empty((256, dim), dtype=float)
         self._n = 0
@@ -116,7 +129,7 @@ class NearestIndex:
         cand_dist: list[np.ndarray] = []
         if self._tree is not None:
             kt = min(k_eff, self._tree_n)
-            dist, idx = self._tree.query(key, k=kt, eps=self.eps)
+            dist, idx = self._tree.query(key, k=kt)
             cand_idx.append(np.atleast_1d(idx).astype(np.intp))
             cand_dist.append(np.atleast_1d(dist))
         if tail.shape[0]:
@@ -131,65 +144,144 @@ class NearestIndex:
         return idx[order], dist[order]
 
     def query_many(self, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row i equals ``query(keys[i], k)``: one tree call for all keys.
-
-        The tail is scanned a few keys at a time and its nearest points are
-        picked a block of keys at a time, so neither the (keys x tail x dim)
-        difference array nor the (keys x tail) distance array gets large.
-        """
+        """Row i equals ``query(keys[i], k)``: one tree call for all keys,
+        and one pick of the nearest tail points (``_tail_nearest``)."""
         if self._n == 0:
             raise EmptyMemoryError("nearest-neighbor query on empty memory")
         rows = keys.shape[0]
-        row_of = np.arange(rows)[:, None]  # row index column for fancy indexing
         k_eff = min(k, self._n)
         tail = self._rows[self._tree_n : self._n]
-        cand_idx: list[np.ndarray] = []
-        cand_dist: list[np.ndarray] = []
         if self._tree is not None:
             kt = min(k_eff, self._tree_n)
-            dist, idx = self._tree.query(keys, k=kt, eps=self.eps)
-            cand_idx.append(idx.reshape(rows, kt).astype(np.intp))
-            cand_dist.append(dist.reshape(rows, kt))
-        if tail.shape[0]:
-            kt = min(k_eff, tail.shape[0])
-            order = np.empty((rows, kt), dtype=np.intp)
-            kept_d2 = np.empty((rows, kt))
-            for block in range(0, rows, _TAIL_BLOCK):
-                block_keys = keys[block : block + _TAIL_BLOCK]
-                d2 = np.empty((block_keys.shape[0], tail.shape[0]))
-                for lo in range(0, block_keys.shape[0], _TAIL_CHUNK):
-                    diff = tail - block_keys[lo : lo + _TAIL_CHUNK, None]
-                    d2[lo : lo + _TAIL_CHUNK] = np.einsum("gij,gij->gi", diff, diff)
-                picked = _smallest_stable(d2, kt)
-                order[block : block + _TAIL_BLOCK] = picked
-                kept_d2[block : block + _TAIL_BLOCK] = d2[row_of[: d2.shape[0]], picked]
-            cand_idx.append(order + self._tree_n)
-            cand_dist.append(np.sqrt(kept_d2))
-        idx = np.concatenate(cand_idx, axis=1)
-        dist = np.concatenate(cand_dist, axis=1)
+            tree_dist, tree_idx = self._tree.query(keys, k=kt)
+            tree_idx = tree_idx.reshape(rows, kt).astype(np.intp)
+            tree_dist = tree_dist.reshape(rows, kt)
+            if not tail.shape[0]:
+                return tree_idx, tree_dist
+        tail_idx, tail_d2 = _tail_nearest(tail, keys, min(k_eff, tail.shape[0]))
+        tail_idx += self._tree_n
+        tail_dist = np.sqrt(tail_d2)
+        if self._tree is None:
+            return tail_idx, tail_dist
+        idx = np.concatenate([tree_idx, tail_idx], axis=1)
+        dist = np.concatenate([tree_dist, tail_dist], axis=1)
         order = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
+        row_of = np.arange(rows)[:, None]
         return idx[row_of, order], dist[row_of, order]
 
 
-def _smallest_stable(values: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(values, axis=1, kind="stable")[:, :k]`` without sorting
-    whole rows: partition, then sort the k picked per row.
+def _tail_nearest(tail: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k tail rows of every key by (squared distance, row), and
+    those squared distances: row i equals ``order = np.argsort(d2,
+    kind="stable")[:k]`` and ``d2[order]``, where ``d2`` holds the distances
+    from ``keys[i]`` as ``NearestIndex.query`` computes them.
 
-    A row whose ties at the k-th value straddle the cut (or that holds NaN
-    there) may have had other tied indices picked, and is sorted in full.
+    Small problems, and any k that keeps the whole tail, scan the tail
+    exactly (``_scanned_tail``).  From ``_FILTER_MIN_WORK`` on, blocks of
+    keys go through ``_filtered_tail``, which recomputes exact distances
+    only for the tail rows a matrix product cannot rule out; a block it
+    declines is scanned.  Both feed the same selection, ``_first_k``.
     """
-    if k >= values.shape[1]:
-        return np.argsort(values, axis=1, kind="stable")
-    row_of = np.arange(values.shape[0])[:, None]
-    picked = np.argpartition(values, k - 1, axis=1)[:, :k]
-    picked.sort(axis=1)  # index order, so the stable sort breaks ties by index
-    picked_values = values[row_of, picked]
-    order = picked[row_of, np.argsort(picked_values, axis=1, kind="stable")]
-    kth = picked_values.max(axis=1)
-    redo = (np.count_nonzero(values <= kth[:, None], axis=1) > k) | np.isnan(kth)
-    if redo.any():
-        order[redo] = np.argsort(values[redo], axis=1, kind="stable")[:, :k]
-    return order
+    rows, (n, dim) = keys.shape[0], tail.shape
+    if k >= n or rows * n * dim < _FILTER_MIN_WORK:
+        return _first_k(*_scanned_tail(tail, keys, k), rows, k)
+    # Rows [q, 1] and [-2 t, |t|^2], so one product gives |t|^2 - 2 q.t.
+    keys_1 = np.ones((rows, dim + 1))
+    keys_1[:, :dim] = keys
+    tail_1 = np.empty((n, dim + 1))
+    np.multiply(tail, -2.0, out=tail_1[:, :dim])
+    tail_1[:, dim] = np.vecdot(tail, tail)
+    reach = np.sqrt(tail_1[:, dim].max())
+    block = max(1, min(_BLOCK_KEYS, (_ONE_THREAD_WORK - 1) // (n * (dim + 1))))
+    idx = np.empty((rows, k), dtype=np.intp)
+    d2 = np.empty((rows, k))
+    for lo in range(0, rows, block):
+        block_keys = keys[lo : lo + block]
+        candidates = _filtered_tail(tail, tail_1, reach, block_keys, keys_1[lo : lo + block], k)
+        if candidates is None:
+            candidates = _scanned_tail(tail, block_keys, k)
+        idx[lo : lo + block], d2[lo : lo + block] = _first_k(*candidates, block_keys.shape[0], k)
+    return idx, d2
+
+
+def _scanned_tail(tail: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates (key row, tail row, squared distance) from an exact scan:
+    per key, every tail row no farther than its k-th nearest (ties
+    included), or the whole row when that k-th distance is NaN."""
+    d2 = np.empty((keys.shape[0], tail.shape[0]))
+    for lo in range(0, keys.shape[0], _TAIL_CHUNK):
+        diff = tail - keys[lo : lo + _TAIL_CHUNK, None]
+        d2[lo : lo + _TAIL_CHUNK] = np.einsum("gij,gij->gi", diff, diff)
+    if k < d2.shape[1]:
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        rows, cols = np.nonzero((d2 <= kth) | np.isnan(kth))
+    else:
+        rows, cols = np.indices(d2.shape).reshape(2, -1)
+    return rows, cols, d2[rows, cols]
+
+
+def _filtered_tail(
+    tail: np.ndarray, tail_1: np.ndarray, reach: float, keys: np.ndarray, keys_1: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Candidates (key row, tail row, squared distance) that hold each key's
+    k nearest tail rows, ties at the k-th included, with their distances
+    computed as ``_scanned_tail`` computes them; None when the rounding
+    bound is not finite or the filter keeps more than a quarter of the
+    (keys x tail) pairs (mass ties, such as repeated rest states), and the
+    keys should be scanned instead.
+
+    ``tail_1`` holds the rows [-2 t, |t|^2], ``keys_1`` the rows [q, 1] and
+    ``reach`` the largest |t|.  One matrix product gives every pair's
+    ``a = |t|^2 - 2 q.t``, which is ``|q - t|^2`` less ``|q|^2``, a constant
+    per key.  A pair is kept when ``a <= a_k + 2 B``, where ``a_k`` is the
+    key's k-th smallest ``a``; only kept pairs get the exact
+    ``d2 = sum((t - q)^2)``.
+
+    Why no pair of the true first k is dropped.  Let ``u`` be the unit
+    roundoff (eps / 2), ``d`` the dimension, ``X = (|q| + |t|)^2`` and D
+    the real ``|q - t|^2``.  Any order of summing n products errs by at
+    most ``n u`` times the sum of their magnitudes (to first order; FMA
+    only lowers it).  ``|t|^2`` so errs by ``d u |t|^2``, scaling by -2 is
+    exact, and the product sums d + 1 terms, so ``|a + |q|^2 - D| <= (2d +
+    1) u X``.  ``d2`` rounds each difference and square and sums d terms:
+    ``|d2 - D| <= (d + 2) u D`` and ``D <= X``.  So ``|a + |q|^2 - d2| <=
+    (3d + 3) u X``.  The bound used, ``B = 2 eps (d + 3) ((|q| +
+    max|t|)^2 + tiny) = 4 (d + 3) u (...)``, is larger: the margin covers
+    the second-order terms, the rounding of B, of |q| and of ``a_k + 2 B``
+    (with ``|a_k| <= X``), and the ``tiny`` term the absolute error of
+    results that underflow.  The k rows with the smallest ``a`` then have
+    ``d2 <= a_k + |q|^2 + B``, so the true k-th smallest ``d2``, v, is at
+    most that, and every row with ``d2 <= v`` has ``a <= d2 - |q|^2 + B
+    <= a_k + 2 B`` and is kept.  Among the kept rows the k-th smallest
+    ``d2`` is therefore v, and the rows up to it are those of a full scan.
+    A NaN or infinite input makes B not finite.
+    """
+    bound = _ROUNDING * (tail.shape[1] + 3) * ((np.sqrt(np.vecdot(keys, keys)) + reach) ** 2 + _TINY)
+    if not np.isfinite(bound).all():
+        return None
+    approx = keys_1 @ tail_1.T
+    a_k = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    kept = np.flatnonzero(approx <= (a_k + 2.0 * bound)[:, None])
+    if 4 * kept.shape[0] > approx.size:
+        return None
+    rows, cols = np.divmod(kept, tail.shape[0])
+    diff = tail[cols] - keys[rows]
+    return rows, cols, np.einsum("ij,ij->i", diff, diff)
+
+
+def _first_k(
+    rows: np.ndarray, cols: np.ndarray, d2: np.ndarray, n_rows: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first k candidates of each of `n_rows` rows by (d2, col), as
+    (n_rows x k) arrays of columns and d2; every row holds at least k
+    candidates, and its columns ascend (as ``np.nonzero`` gives them), so
+    the stable sort breaks ties in d2 by column.  NaN sorts last, as in
+    ``np.argsort``."""
+    order = np.lexsort((d2, rows))
+    starts = np.zeros(n_rows, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_rows)[:-1], out=starts[1:])
+    pick = order[starts[:, None] + np.arange(k)]
+    return cols[pick], d2[pick]
 
 
 def _fit_ridge(actions: np.ndarray, effects: np.ndarray, ridge: float) -> np.ndarray:
@@ -218,7 +310,6 @@ class EvolvingMemory:
         support_radius: float = 0.5,
         min_support: int | None = None,
         ridge: float = 1e-6,
-        eps: float = 0.0,
     ):
         self.context_dim = int(context_dim)
         self.effect_dim = int(effect_dim)
@@ -228,7 +319,7 @@ class EvolvingMemory:
         # caller is told to go collect data instead.
         self.min_support = int(min_support) if min_support is not None else 2 * self.effect_dim
         self.ridge = float(ridge)
-        self._index = NearestIndex(context_dim, eps=eps)
+        self._index = NearestIndex(context_dim)
         self._actions = np.empty((256, context_dim), dtype=float)
         self._effects = np.empty((256, effect_dim), dtype=float)
 
@@ -328,14 +419,13 @@ class FixedMemory:
         effect_dim: int = 2,
         inverse_candidates: int = 5,
         inverse_neighborhood: int = 10,
-        eps: float = 0.0,
     ):
         self.param_dim = int(param_dim)
         self.effect_dim = int(effect_dim)
         self.inverse_candidates = int(inverse_candidates)
         self.inverse_neighborhood = int(inverse_neighborhood)
-        self._effect_index = NearestIndex(effect_dim, eps=eps)
-        self._param_index = NearestIndex(param_dim, eps=eps)
+        self._effect_index = NearestIndex(effect_dim)
+        self._param_index = NearestIndex(param_dim)
 
     def __len__(self) -> int:
         return len(self._effect_index)
@@ -374,14 +464,14 @@ class FixedMemory:
 
     def local_inverse(
         self, goal: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
-    ) -> tuple[np.ndarray, LocalLinearModel]:
+    ) -> tuple[np.ndarray, LocalLinearModel, int]:
         """Predict the parameters for `goal`: one row of ``local_inverses``."""
-        predicted, models = self.local_inverses(np.asarray(goal, dtype=float)[None], candidates, neighborhood)
-        return predicted[0], models[0]
+        predicted, models, nearest = self.local_inverses(np.asarray(goal, dtype=float)[None], candidates, neighborhood)
+        return predicted[0], models[0], int(nearest[0])
 
     def local_inverses(
         self, goals: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
-    ) -> tuple[np.ndarray, list[LocalLinearModel]]:
+    ) -> tuple[np.ndarray, list[LocalLinearModel], np.ndarray]:
         """Predict the parameters for every row of `goals` from the most
         consistent neighborhood of past outcomes.
 
@@ -395,7 +485,14 @@ class FixedMemory:
 
         All goals share one effect-index query and all candidate sets one
         params-index query; each row is the same as for that goal alone.
-        Returns the (rows x param_dim) predictions and one model per row.
+        Returns the (rows x param_dim) predictions, one model per row, and
+        per row the index of the stored effect nearest to the goal, or -1.
+        The index is given when there are at least two candidates and the
+        first is strictly closer than the second.  Then it is the only
+        point at the smallest distance, and ``nearest_effect(goal, 1)``
+        returns it too, because both queries compute each point's distance
+        with the same formula.  Under a tie the two queries may order the
+        tied points differently, so no index is given.
         """
         if len(self) == 0:
             raise EmptyMemoryError("local inverse model requires at least one exemplar")
@@ -404,9 +501,13 @@ class FixedMemory:
         goals = np.asarray(goals, dtype=float)
         predicted = np.empty((goals.shape[0], self.param_dim))
         if goals.shape[0] == 0:
-            return predicted, []
+            return predicted, [], np.empty(0, dtype=np.intp)
         params, effects = self.params, self.effects
-        cand_idx, _ = self._effect_index.query_many(goals, min(le, len(self)))
+        cand_idx, cand_dist = self._effect_index.query_many(goals, min(le, len(self)))
+        if cand_idx.shape[1] < 2:
+            nearest = np.full(goals.shape[0], -1, dtype=np.intp)
+        else:
+            nearest = np.where(cand_dist[:, 0] < cand_dist[:, 1], cand_idx[:, 0], -1)
         set_idx, _ = self._param_index.query_many(params[cand_idx.ravel()], min(m, len(self)))
         set_idx = set_idx.reshape(cand_idx.shape + (-1,))
         if set_idx.shape[2] < 2:
@@ -427,7 +528,7 @@ class FixedMemory:
                 inverse = coef.T
             predicted[row] = param_center + inverse @ (goals[row] - effect_center)
             models.append(LocalLinearModel(None, inverse, best_set.shape[0]))
-        return predicted, models
+        return predicted, models, nearest
 
     @staticmethod
     def csv_header(param_dim: int, effect_dim: int) -> list[str]:

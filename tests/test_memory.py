@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goalbabbling import memory as memory_module
 from goalbabbling.memory import (
     EmptyMemoryError,
     EvolvingMemory,
@@ -108,6 +110,131 @@ def test_query_many_on_empty_index_raises():
         NearestIndex(2).query_many(np.zeros((3, 2)), 1)
 
 
+def tail_oracle(tail, keys, k):
+    """Per key: the stable argsort of the squared distances as
+    `NearestIndex.query` computes them, cut to k, and those distances."""
+    idx = np.empty((len(keys), k), dtype=np.intp)
+    d2 = np.empty((len(keys), k))
+    for row, key in enumerate(keys):
+        diff = tail - key
+        full = np.einsum("ij,ij->i", diff, diff)
+        idx[row] = np.argsort(full, kind="stable")[:k]
+        d2[row] = full[idx[row]]
+    return idx, d2
+
+
+class TailPaths:
+    """Spy on `_filtered_tail`: counts the blocks it filtered, and those it
+    declined with a non-finite or a finite bound (too many candidates)."""
+
+    def __init__(self):
+        self.filtered = self.non_finite = self.too_many = 0
+        self._original = memory_module._filtered_tail
+
+    def __call__(self, tail, tail_1, reach, keys, keys_1, k):
+        result = self._original(tail, tail_1, reach, keys, keys_1, k)
+        if result is not None:
+            self.filtered += 1
+        elif np.isfinite(keys).all() and np.isfinite(tail).all():
+            self.too_many += 1
+        else:
+            self.non_finite += 1
+        return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([2, 8, 15]),
+    k=st.sampled_from([1, 2, 5, 12]),
+    tail_size=st.sampled_from(["1", "k-1", "k", "k+1", "511"]),
+    key_count=st.sampled_from([1, 31, 32, 33, 500]),
+    # Grid values with exact ties and duplicates (distances that are equal in
+    # real arithmetic round apart when scaled by 1e-6 or 1e6), or continuous (0).
+    levels=st.sampled_from([2, 3, 10, 50, 0]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    stored_keys=st.booleans(),
+    non_finite=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    forced=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_tail_pick_equals_stable_argsort_oracle(
+    dim, k, tail_size, key_count, levels, scale, stored_keys, non_finite, forced, seed
+):
+    rng = np.random.default_rng(seed)
+    n = {"1": 1, "k-1": k - 1, "k": k, "k+1": k + 1, "511": 511}[tail_size]
+    n = max(n, 1)
+
+    def draw(count):
+        values = rng.integers(0, levels, (count, dim)) if levels else rng.normal(size=(count, dim))
+        return values.astype(float) * scale
+
+    tail = draw(n)
+    keys = draw(key_count)
+    if stored_keys:
+        keys[::2] = tail[rng.integers(n, size=keys[::2].shape[0])]
+    if non_finite is not None:
+        keys[rng.integers(key_count), rng.integers(dim)] = non_finite
+    kt = min(k, n)
+    spy = TailPaths()
+    min_work = 0 if forced else memory_module._FILTER_MIN_WORK
+    with mock.patch.object(memory_module, "_FILTER_MIN_WORK", min_work), mock.patch.object(
+        memory_module, "_filtered_tail", spy
+    ):
+        idx, d2 = memory_module._tail_nearest(tail, keys, kt)
+    expected_idx, expected_d2 = tail_oracle(tail, keys, kt)
+    assert idx.dtype == np.intp and idx.shape == d2.shape == (key_count, kt)
+    assert np.array_equal(idx, expected_idx)
+    assert d2.tobytes() == expected_d2.tobytes()
+    if forced and kt < n:
+        assert spy.filtered + spy.non_finite + spy.too_many == -(-key_count // 32)
+        if non_finite is not None:
+            assert spy.non_finite == 1
+
+
+def test_tail_filter_and_each_fallback_run_and_match_query():
+    # 1,000 continuous 15-D points: a kd-tree over 512 and a 488-row tail,
+    # which 100 keys search in four filtered blocks of up to 32.  With no
+    # tree (which rejects non-finite keys), a NaN key makes its block fall
+    # back on the bound; rest-state copies filling most of the tail make
+    # every block fall back on the candidate count.
+    def check(index, keys, paths):
+        spy = TailPaths()
+        with mock.patch.object(memory_module, "_filtered_tail", spy):
+            idx, dist = index.query_many(keys, 12)
+        assert (spy.filtered, spy.non_finite, spy.too_many) == paths
+        for row, key in enumerate(keys):
+            one_idx, one_dist = index.query(key, 12)
+            assert np.array_equal(idx[row], one_idx)
+            assert np.array_equal(dist[row], one_dist, equal_nan=True)
+
+    rng = np.random.default_rng(17)
+    index = NearestIndex(15)
+    for point in rng.normal(size=(1000, 15)):
+        index.add(point)
+    check(index, np.vstack([rng.normal(size=(60, 15)), index.points[rng.integers(1000, size=40)]]), (4, 0, 0))
+
+    index = NearestIndex(15)
+    for point in rng.normal(size=(500, 15)):
+        index.add(point)
+    keys = rng.normal(size=(100, 15))
+    keys[70, 3] = np.nan
+    check(index, keys, (3, 1, 0))
+
+    rest = np.zeros(15)
+    index = NearestIndex(15)
+    for i in range(1000):
+        index.add(rest if i >= 600 or i % 7 == 0 else rng.normal(size=15))
+    check(index, np.vstack([np.tile(rest, (40, 1)), rng.normal(0.0, 1e-3, (40, 15))]), (0, 0, 3))
+
+
+def test_query_many_with_no_keys():
+    index = NearestIndex(3)
+    for point in np.random.default_rng(1).normal(size=(700, 3)):
+        index.add(point)
+    idx, dist = index.query_many(np.empty((0, 3)), 4)
+    assert idx.shape == dist.shape == (0, 4)
+
+
 def test_local_pseudo_inverses_equal_single_fits_bitwise():
     rng = np.random.default_rng(9)
     memory = EvolvingMemory(3, 2, neighbors=8, support_radius=0.6)
@@ -200,7 +327,7 @@ def test_memory_models_pair_each_side_with_its_pseudo_inverse():
         fixed.insert(action, effect)
     model = evolving.local_jacobian(np.zeros(3))
     np.testing.assert_array_equal(model.pseudo_inverse, np.linalg.pinv(model.jacobian))
-    _, model = fixed.local_inverse(np.zeros(2))
+    _, model, _ = fixed.local_inverse(np.zeros(2))
     np.testing.assert_array_equal(model.jacobian, np.linalg.pinv(model.pseudo_inverse))
 
 
@@ -251,7 +378,7 @@ def test_local_inverse_single_entry_returns_it():
     memory = FixedMemory(4, 2)
     theta = np.array([0.1, 0.9, 0.5, 0.3])
     memory.insert(theta, np.array([10.0, -3.0]))
-    predicted, model = memory.local_inverse(np.array([50.0, 50.0]))
+    predicted, model, _ = memory.local_inverse(np.array([50.0, 50.0]))
     np.testing.assert_allclose(predicted, theta, atol=1e-12)
     assert model.support_size == 1
 
@@ -281,7 +408,7 @@ def test_local_inverse_prefers_single_cluster():
     effects = 0.05 * rng.random((16, 2))
     for theta, effect in zip(np.vstack([cluster_a, cluster_b]), effects):
         memory.insert(theta, effect)
-    predicted, _ = memory.local_inverse(np.array([0.0, 0.0]))
+    predicted, _, _ = memory.local_inverse(np.array([0.0, 0.0]))
     in_a = np.all(np.abs(predicted - 0.105) < 0.05)
     in_b = np.all(np.abs(predicted - 0.905) < 0.05)
     assert in_a or in_b  # never the mid-cluster average ~0.5
@@ -298,7 +425,7 @@ def test_local_inverse_solves_linear_map():
         memory.insert(theta, mapping @ theta)
     for _ in range(10):
         goal = mapping @ rng.random(5)
-        predicted, _ = memory.local_inverse(goal)
+        predicted, _, _ = memory.local_inverse(goal)
         assert np.linalg.norm(mapping @ predicted - goal) < 1e-6
 
 
@@ -337,7 +464,7 @@ def test_local_inverses_equal_the_per_candidate_scan_bitwise(size):
     goals = np.vstack([rng.normal(0.0, 1.5, (30, 2)), memory.effects[rng.integers(size, size=10)]])
     overrides = [(None, None), (1, 1), (3, 2), (7, 15), (40, 60)]
     for candidates, neighborhood in overrides:
-        predicted, models = memory.local_inverses(goals, candidates, neighborhood)
+        predicted, models, _ = memory.local_inverses(goals, candidates, neighborhood)
         assert predicted.shape == (len(goals), 8) and len(models) == len(goals)
         le = memory.inverse_candidates if candidates is None else candidates
         m = memory.inverse_neighborhood if neighborhood is None else neighborhood
@@ -346,9 +473,47 @@ def test_local_inverses_equal_the_per_candidate_scan_bitwise(size):
             assert np.array_equal(predicted[row], expected)
             assert np.array_equal(models[row].pseudo_inverse, inverse)
             assert models[row].support_size == support
-            one, model = memory.local_inverse(goal, candidates, neighborhood)
+            one, model, _ = memory.local_inverse(goal, candidates, neighborhood)
             assert np.array_equal(one, expected)
             assert np.array_equal(model.pseudo_inverse, inverse)
+
+
+def test_local_inverse_nearest_index_equals_nearest_effect():
+    # 700 exemplars: a kd-tree over 512 and a 188-row tail.  Effects lie on
+    # a 0.25 grid and every third tail effect copies a tree effect, so goals
+    # on the grid, or halfway between grid effects, tie at the nearest
+    # distance, also between a tree point and a tail point.  The nearest
+    # index is given exactly when the first two candidates are not tied,
+    # and then it is the index `nearest_effect(goal, 1)` returns.
+    rng = np.random.default_rng(4)
+    memory = FixedMemory(3, 2)
+    for i in range(700):
+        copied = i >= 512 and i % 3 == 0
+        effect = memory.effects[rng.integers(512)].copy() if copied else rng.integers(0, 40, 2) / 4.0
+        memory.insert(rng.random(3), effect)
+    copies = memory.effects[512::3]
+    goals = np.vstack(
+        [
+            copies[:30],
+            (copies[:30] + memory.effects[rng.integers(700, size=30)]) / 2.0,
+            memory.effects[rng.integers(700, size=30)],
+            rng.uniform(-1.0, 11.0, (60, 2)),
+        ]
+    )
+    _, _, nearest = memory.local_inverses(goals)
+    given = tied = tree_tail_ties = 0
+    for row, goal in enumerate(goals):
+        assert memory.local_inverse(goal)[2] == nearest[row]
+        idx, dist = memory.nearest_effect(goal, 2)
+        if nearest[row] >= 0:
+            given += 1
+            assert nearest[row] == memory.nearest_effect(goal, 1)[0][0] == idx[0]
+            assert dist[0] < dist[1]
+        else:
+            tied += 1
+            assert dist[0] == dist[1]
+            tree_tail_ties += min(idx) < 512 <= max(idx)
+    assert given >= 40 and tied >= 30 and tree_tail_ties >= 20
 
 
 def test_local_inverses_of_no_goals_and_on_empty_memory():
@@ -356,8 +521,8 @@ def test_local_inverses_of_no_goals_and_on_empty_memory():
     with pytest.raises(EmptyMemoryError):
         memory.local_inverses(np.zeros((3, 2)))
     memory.insert(np.full(4, 0.5), np.zeros(2))
-    predicted, models = memory.local_inverses(np.zeros((0, 2)))
-    assert predicted.shape == (0, 4) and models == []
+    predicted, models, nearest = memory.local_inverses(np.zeros((0, 2)))
+    assert predicted.shape == (0, 4) and models == [] and nearest.shape == (0,)
 
 
 def test_nearest_on_fixed_memory_keys_by_effect():
@@ -395,17 +560,3 @@ def test_fixed_memory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.params, memory.params)
     np.testing.assert_array_equal(loaded.effects, memory.effects)
 
-
-def test_approximate_mode_respects_relative_bound():
-    # With slack enabled, each returned distance stays within (1 + eps) of
-    # the true i-th nearest distance from the brute-force oracle.
-    rng = np.random.default_rng(21)
-    eps = 0.5
-    index = NearestIndex(6, eps=eps, rebuild_every=64)
-    points = rng.normal(size=(800, 6))
-    for point in points:
-        index.add(point)
-    for key in rng.normal(size=(200, 6)):
-        _, dist = index.query(key, 5)
-        _, true_dist = linear_scan(points, key, 5)
-        assert np.all(dist <= (1 + eps) * true_dist + 1e-12)
