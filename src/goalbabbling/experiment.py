@@ -31,7 +31,7 @@ from .explorers import ReachingBudget, make_subgoals, reach_evolving, reach_fixe
 from .kinematics import ArmWorld, SynergyWorld
 from .memory import EvolvingMemory, FixedMemory
 from .regions import RecordOrigin, RegionTree
-from .rng import RngStreams
+from .rng import RngStreams, weighted_index
 from .spaces import Box
 
 MODE_TAGS = {RegionTree.MODE_INTEREST: "interest", RegionTree.MODE_UNIFORM: "uniform", RegionTree.MODE_LOW_COMPETENCE: "low_competence"}
@@ -283,21 +283,21 @@ def _run_actuator_arm(config, world: ArmWorld, streams, marks: _Checkpoints, log
         else None
     )
     period = _actuator_reset_period(config, world)
-    alpha = world.rest_state()
+    alpha, effector = world.rest_state(), world.rest_effector()
     log.resets.append(0)
     used = 0
     since_reset = 0
     while used < config.budget:
         marks.collect(used, memory, tree=None, log=log)
         if since_reset == period:
-            alpha = world.rest_state()
+            alpha, effector = world.rest_state(), world.rest_effector()
             since_reset = 0
             log.resets.append(used)
         if policy is None:
             delta = streams.exploration.uniform(-config.explore_scale, config.explore_scale, world.n_dof)
         else:
             delta = policy.choose_point(alpha)[world.n_dof :]
-        result = world.step(alpha, delta)
+        result = world.step(alpha, delta, effector)
         applied = result.alpha - alpha
         if policy is not None:
             model = memory.local_jacobian(alpha)
@@ -306,7 +306,7 @@ def _run_actuator_arm(config, world: ArmWorld, streams, marks: _Checkpoints, log
         memory.insert(alpha, applied, result.displacement)
         if policy is not None:
             policy.observe(np.concatenate([alpha, applied]), error)
-        alpha = result.alpha
+        alpha, effector = result.alpha, result.effector_after
         used += 1
         since_reset += 1
     marks.collect(used, memory, tree=None, log=log)
@@ -369,7 +369,7 @@ class ActuatorRiacPolicy:
         if total <= 0.0:
             pick = self.rng.integers(len(interests))
         else:
-            pick = self.rng.choice(len(interests), p=weights / total)
+            pick = weighted_index(self.rng, weights / total)
         leaf = leaves[pick] if state is None else self._ordered[admitted[pick]]
         return leaf.bounds.sample(self.rng)
 

@@ -194,7 +194,7 @@ def reach_evolving(
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
             delta = _clip_norm(model.pseudo_inverse @ desired, world.max_action_norm)
-            result = world.step(alpha, delta)
+            result = world.step(alpha, delta, current)
             _record(alpha, result.alpha, result.displacement, result.effector_after)
             alpha, current = result.alpha, result.effector_after
             steps += 1

@@ -147,13 +147,16 @@ class ArmWorld:
     def forward(self, alpha: np.ndarray) -> np.ndarray:
         return forward_kinematics(self.geometry, alpha)
 
-    def step(self, alpha: np.ndarray, delta: np.ndarray) -> StepResult:
+    def step(self, alpha: np.ndarray, delta: np.ndarray, effector: np.ndarray | None = None) -> StepResult:
         """Apply a joint increment, clamping the result to the joint limits.
 
         Clamping is silent apart from the returned flag; the displacement is
-        measured on the actually-applied motion.
+        measured on the actually-applied motion.  A caller that already
+        holds the effector position at `alpha` (``forward(alpha)``, as a
+        previous step's ``effector_after``) passes it as `effector`, which
+        saves one forward-kinematics pass; it becomes ``effector_before``.
         """
-        before = forward_kinematics(self.geometry, alpha)
+        before = forward_kinematics(self.geometry, alpha) if effector is None else effector
         raw = alpha + delta
         new = np.clip(raw, self.geometry.joint_low, self.geometry.joint_high)
         clamped = bool(np.any(new != raw))

@@ -25,9 +25,11 @@ from scipy.spatial import cKDTree
 # Keys per exact tail scan, so the (keys x tail x dim) difference array
 # stays small.
 _TAIL_CHUNK = 8
-# From this much work (keys x tail rows x dim) on, `query_many` filters the
-# tail through a matrix product instead of scanning it.
-_FILTER_MIN_WORK = 32_768
+# From this many (key, tail row) pairs on, `query_many` filters the tail
+# through a matrix product instead of scanning it.  The scan's cost hardly
+# depends on the dimension at these sizes: on a 480-row tail the two break
+# even near 2,000 pairs in 2-, 8- and 15-D alike.
+_FILTER_MIN_PAIRS = 2_000
 # Keys per filtered block.  A product of at most 2**18 multiply-adds runs
 # on one OpenBLAS thread; on a 2-core machine a 100 x 15 by 15 x 464
 # product took 14.8 ms on two threads and 0.17 ms on one.  32 keys against
@@ -120,26 +122,31 @@ class NearestIndex:
         return self._n - 1
 
     def query(self, key: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the k nearest points, ascending."""
+        """Indices and distances of the k nearest points, ascending: the
+        tree's and the tail's nearest merged by distance, the tree's first
+        on ties."""
         if self._n == 0:
             raise EmptyMemoryError("nearest-neighbor query on empty memory")
         k_eff = min(k, self._n)
-        tail = self._rows[self._tree_n : self._n]
-        cand_idx: list[np.ndarray] = []
-        cand_dist: list[np.ndarray] = []
         if self._tree is not None:
-            kt = min(k_eff, self._tree_n)
-            dist, idx = self._tree.query(key, k=kt)
-            cand_idx.append(np.atleast_1d(idx).astype(np.intp))
-            cand_dist.append(np.atleast_1d(dist))
-        if tail.shape[0]:
-            diff = tail - key
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            order = np.argsort(d2, kind="stable")[:k_eff]
-            cand_idx.append(order + self._tree_n)
-            cand_dist.append(np.sqrt(d2[order]))
-        idx = np.concatenate(cand_idx)
-        dist = np.concatenate(cand_dist)
+            dist, idx = self._tree.query(key, k=min(k_eff, self._tree_n))
+            idx = np.atleast_1d(idx).astype(np.intp)
+            dist = np.atleast_1d(dist)
+            if self._tree_n == self._n:
+                return idx, dist
+        tail_idx, tail_d2 = _tail_first_k(self._rows[self._tree_n : self._n], key, k_eff)
+        tail_idx += self._tree_n
+        tail_dist = np.sqrt(tail_d2)
+        if self._tree is None:
+            return tail_idx, tail_dist
+        # Merge only when both sides contribute.  False comparisons (NaN)
+        # fall through to the merge, which sorts NaN last.
+        if dist.shape[0] == k_eff and dist[-1] <= tail_dist[0]:
+            return idx, dist
+        if tail_dist.shape[0] == k_eff and tail_dist[-1] < dist[0]:
+            return tail_idx, tail_dist
+        idx = np.concatenate((idx, tail_idx))
+        dist = np.concatenate((dist, tail_dist))
         order = np.argsort(dist, kind="stable")[:k_eff]
         return idx[order], dist[order]
 
@@ -170,6 +177,24 @@ class NearestIndex:
         return idx[row_of, order], dist[row_of, order]
 
 
+def _tail_first_k(tail: np.ndarray, key: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k tail rows by (squared distance, row) from one key, and
+    those squared distances: ``order = np.argsort(d2, kind="stable")[:k]``
+    and ``d2[order]``.  Only the rows no farther than the k-th nearest
+    (ties included) are sorted; a NaN k-th distance, which sorts last,
+    sorts them all."""
+    diff = tail - key
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if k < d2.shape[0]:
+        kth = np.partition(d2, k - 1)[k - 1]
+        if kth == kth:  # False for NaN
+            kept = (d2 <= kth).nonzero()[0]
+            order = kept[d2[kept].argsort(kind="stable")[:k]]
+            return order, d2[order]
+    order = np.argsort(d2, kind="stable")[:k]
+    return order, d2[order]
+
+
 def _tail_nearest(tail: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The first k tail rows of every key by (squared distance, row), and
     those squared distances: row i equals ``order = np.argsort(d2,
@@ -177,13 +202,13 @@ def _tail_nearest(tail: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarra
     from ``keys[i]`` as ``NearestIndex.query`` computes them.
 
     Small problems, and any k that keeps the whole tail, scan the tail
-    exactly (``_scanned_tail``).  From ``_FILTER_MIN_WORK`` on, blocks of
+    exactly (``_scanned_tail``).  From ``_FILTER_MIN_PAIRS`` on, blocks of
     keys go through ``_filtered_tail``, which recomputes exact distances
     only for the tail rows a matrix product cannot rule out; a block it
     declines is scanned.  Both feed the same selection, ``_first_k``.
     """
     rows, (n, dim) = keys.shape[0], tail.shape
-    if k >= n or rows * n * dim < _FILTER_MIN_WORK:
+    if k >= n or rows * n < _FILTER_MIN_PAIRS:
         return _first_k(*_scanned_tail(tail, keys, k), rows, k)
     # Rows [q, 1] and [-2 t, |t|^2], so one product gives |t|^2 - 2 q.t.
     keys_1 = np.ones((rows, dim + 1))

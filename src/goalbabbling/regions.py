@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import weighted_index
 from .spaces import Box
 
 
@@ -339,7 +340,7 @@ class RegionTree:
 
         if mode == self.MODE_UNIFORM:
             return self.bounds.sample(rng), mode
-        leaf = self._leaves[rng.choice(len(self._leaves), p=self.leaf_probabilities())]
+        leaf = self._leaves[weighted_index(rng, self.leaf_probabilities())]
         if mode == self.MODE_INTEREST or not leaf.records:
             return leaf.bounds.sample(rng), mode
         # Mode 3: perturb around the worst outcome in the leaf's window.

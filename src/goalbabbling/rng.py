@@ -35,3 +35,13 @@ class RngStreams:
         self.seed = int(seed)
         self.goals = stream(seed, "goals")
         self.exploration = stream(seed, "exploration")
+
+
+def weighted_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``rng.choice(len(p), p=p)`` without its validation of `p`, a
+    probability vector: the steps numpy runs after that check, so the same
+    index from the same single uniform draw, and the stream advances
+    exactly as there."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))

@@ -156,6 +156,7 @@ def _final_errors(result, strategy, checkpoint):
     return np.array([p.error for p in result.curves if p.strategy == strategy and p.checkpoint == checkpoint])
 
 
+@pytest.mark.slow
 def test_criterion_5_mid_space_ordering(mid_space_comparison):
     result = mid_space_comparison
     finals = {s: _final_errors(result, s, 30000) for s in ("sagg_riac", "sagg_random", "actuator_random", "actuator_riac")}
@@ -169,6 +170,7 @@ def test_criterion_5_mid_space_ordering(mid_space_comparison):
     report(5, ok, f"final mean errors {means}; one-sided rank-test p-values {p_values}")
 
 
+@pytest.mark.slow
 def test_criterion_7_reachability_discovery(mid_space_comparison):
     result = mid_space_comparison
     # Monte-Carlo uniform baseline: fraction of the task box that is reachable.
@@ -190,6 +192,7 @@ def test_criterion_7_reachability_discovery(mid_space_comparison):
 
 # ----------------------------------------------------------------- criterion 6
 
+@pytest.mark.slow
 def test_criterion_6_large_space_discrimination():
     cfg = load_config(bundled_config_path("arm15_big"))
     assert cfg.explore_actions == 5 and cfg.blocking_window == 3
@@ -212,6 +215,7 @@ def test_criterion_6_large_space_discrimination():
 
 # ----------------------------------------------------------------- criterion 8
 
+@pytest.mark.slow
 def test_criterion_8_fixed_context_ordering():
     cfg = load_config(bundled_config_path("map8_mid"))
     world = cfg.build_world()

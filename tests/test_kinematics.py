@@ -98,6 +98,24 @@ def test_step_clamps_at_joint_limit():
     assert result.alpha[0] == 1.0
 
 
+@pytest.mark.parametrize("joint_limit", [math.pi, 0.4])  # 0.4 clamps most steps
+def test_step_with_start_effector_equals_step_without(joint_limit):
+    world = ArmWorld(ArmGeometry.golden_links(15, total_length=50.0, joint_limit=joint_limit), rest_angle=0.0)
+    rng = np.random.default_rng(21)
+    alpha, effector = world.rest_state(), world.rest_effector()
+    clamps = 0
+    for _ in range(200):
+        delta = rng.uniform(-0.2, 0.2, world.n_dof)
+        plain = world.step(alpha, delta)
+        carried = world.step(alpha, delta, effector)
+        clamps += carried.clamped
+        assert carried.clamped == plain.clamped
+        for name in ("alpha", "effector_before", "effector_after", "displacement"):
+            assert getattr(carried, name).tobytes() == getattr(plain, name).tobytes()
+        alpha, effector = carried.alpha, carried.effector_after
+    assert (clamps > 100) == (joint_limit < 1.0)
+
+
 def test_step_composition_is_linear_in_state_without_clamping():
     world = ArmWorld(ArmGeometry.equal_links(3, total_length=50.0))
     delta = np.array([0.01, -0.02, 0.015])

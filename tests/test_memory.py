@@ -105,6 +105,83 @@ def test_query_many_equals_query_across_blocks_of_keys():
         assert np.array_equal(dist[row], one_dist)
 
 
+def reference_query(index, key, k):
+    """`NearestIndex.query` as it was before its single-key path went
+    sort-free: the tree's k nearest and the whole tail's stable argsort,
+    always concatenated and stably sorted by distance."""
+    k_eff = min(k, index._n)
+    tail = index._rows[index._tree_n : index._n]
+    cand_idx, cand_dist = [], []
+    if index._tree is not None:
+        dist, idx = index._tree.query(key, k=min(k_eff, index._tree_n))
+        cand_idx.append(np.atleast_1d(idx).astype(np.intp))
+        cand_dist.append(np.atleast_1d(dist))
+    if tail.shape[0]:
+        diff = tail - key
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.argsort(d2, kind="stable")[:k_eff]
+        cand_idx.append(order + index._tree_n)
+        cand_dist.append(np.sqrt(d2[order]))
+    idx = np.concatenate(cand_idx)
+    dist = np.concatenate(cand_dist)
+    order = np.argsort(dist, kind="stable")[:k_eff]
+    return idx[order], dist[order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    dim=st.sampled_from([2, 8, 15]),
+    state=st.sampled_from(["tree", "tail", "both"]),
+    rebuild_every=st.sampled_from([4, 16, 64, 512]),
+    k=st.sampled_from([1, 2, 5, 12, "n", "n+3"]),
+    # Grid values give exact ties and duplicates, 0 continuous values.
+    levels=st.sampled_from([2, 3, 0]),
+    rest_copies=st.booleans(),
+    key_kind=st.sampled_from(["stored", "fresh", "rest", "nan", "inf"]),
+    seed=st.integers(0, 2**16),
+)
+def test_query_equals_reference_bitwise(dim, state, rebuild_every, k, levels, rest_copies, key_kind, seed):
+    rng = np.random.default_rng(seed)
+    rounds = int(rng.integers(1, 4))
+    n = {
+        "tree": rounds * rebuild_every,
+        "tail": int(rng.integers(1, rebuild_every)),
+        "both": rounds * rebuild_every + int(rng.integers(1, rebuild_every)),
+    }[state]
+    points = rng.integers(0, levels, (n, dim)).astype(float) if levels else rng.normal(size=(n, dim))
+    rest = np.full(dim, 0.35)
+    if rest_copies:
+        # Copies of one state on both sides of the last rebuild, as resets
+        # store the rest state, so ties straddle the tree and the tail.
+        points[rng.random(n) < 0.3] = rest
+    index = NearestIndex(dim, rebuild_every=rebuild_every)
+    for point in points:
+        index.add(point)
+    assert (index._tree is not None) == (state != "tail") and (index._tree_n == n) == (state == "tree")
+    k = {"n": n, "n+3": n + 3}.get(k, k)
+    key = {
+        "stored": points[rng.integers(n)].copy(),
+        "fresh": rng.normal(size=dim),
+        "rest": rest.copy(),
+        "nan": np.full(dim, np.nan),
+        "inf": np.full(dim, np.inf),
+    }[key_kind]
+    if key_kind in ("nan", "inf"):
+        key[1:] = rest[1:]
+        if index._tree is not None:
+            # The kd-tree rejects non-finite keys, before and after.
+            with pytest.raises(ValueError):
+                reference_query(index, key, k)
+            with pytest.raises(ValueError):
+                index.query(key, k)
+            return
+    idx, dist = index.query(key, k)
+    expected_idx, expected_dist = reference_query(index, key, k)
+    assert idx.dtype == expected_idx.dtype == np.intp
+    assert np.array_equal(idx, expected_idx)
+    assert dist.tobytes() == expected_dist.tobytes()
+
+
 def test_query_many_on_empty_index_raises():
     with pytest.raises(EmptyMemoryError):
         NearestIndex(2).query_many(np.zeros((3, 2)), 1)
@@ -176,8 +253,8 @@ def test_tail_pick_equals_stable_argsort_oracle(
         keys[rng.integers(key_count), rng.integers(dim)] = non_finite
     kt = min(k, n)
     spy = TailPaths()
-    min_work = 0 if forced else memory_module._FILTER_MIN_WORK
-    with mock.patch.object(memory_module, "_FILTER_MIN_WORK", min_work), mock.patch.object(
+    min_pairs = 0 if forced else memory_module._FILTER_MIN_PAIRS
+    with mock.patch.object(memory_module, "_FILTER_MIN_PAIRS", min_pairs), mock.patch.object(
         memory_module, "_filtered_tail", spy
     ):
         idx, d2 = memory_module._tail_nearest(tail, keys, kt)
