@@ -40,7 +40,6 @@ from .memory import (
     EvolvingMemory,
     FixedMemory,
     LocalLinearModel,
-    SensorimotorEntry,
 )
 from .regions import GoalRecord, RecordOrigin, Region, RegionTree, interest_of
 from .rng import RngStreams, stream

@@ -21,9 +21,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .evaluation import compare_strategies, default_checkpoints, evaluate, make_test_db
-from .experiment import RunLog, run_with_memory
-from .kinematics import ArmWorld
-from .memory import EvolvingMemory, FixedMemory
+from .experiment import RunLog, run_with_memory, world_adapter
 
 OUTPUT_ROOT_ENV = "GOALBABBLING_OUT"
 
@@ -50,8 +48,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """The comma-separated non-negative integers given to `flag`."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    if any(value < 0 for value in values):
+        raise ConfigError(f"{flag} must not hold negative values, got {text!r}")
+    return values
 
 
 def write_run_outputs(log: RunLog, out: Path) -> None:
@@ -128,13 +133,8 @@ def _load_test_goals(path: str, world) -> np.ndarray:
 
 def _load_memory(path: str, config: ExperimentConfig, world):
     """The saved memory, after checking its columns against the config's world."""
-    if isinstance(world, ArmWorld):
-        kind = EvolvingMemory
-        options = dict(neighbors=config.regression_neighbors, support_radius=config.support_radius)
-    else:
-        kind = FixedMemory
-        options = dict(inverse_candidates=config.inverse_candidates, inverse_neighborhood=config.inverse_neighborhood)
-    expected = kind.csv_header(world.geometry.n_dof, world.effect_dim)
+    adapter = world_adapter(config, world)
+    expected = adapter.memory_class.csv_header(world.geometry.n_dof, world.effect_dim)
     try:
         with open(path, newline="") as f:
             header = next(csv.reader(f), [])
@@ -146,7 +146,7 @@ def _load_memory(path: str, config: ExperimentConfig, world):
             f"the config's world needs {_column_summary(expected)}"
         )
     try:
-        return kind.load_csv(path, **options)
+        return adapter.memory_class.load_csv(path, **adapter.memory_options)
     except ValueError as exc:
         raise ConfigError(f"cannot read memory {path}: {exc}") from exc
 
@@ -154,7 +154,7 @@ def _load_memory(path: str, config: ExperimentConfig, world):
 def cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed, budget=args.budget)
     out = _out_dir(args.out, f"{Path(args.config).stem}_seed{config.seed}")
-    checkpoints = _parse_int_list(args.checkpoints) if args.checkpoints else [config.budget]
+    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints") if args.checkpoints else [config.budget]
     test_goals = _load_test_goals(args.testdb, config.build_world()) if args.testdb else None
     log, memory = run_with_memory(config, checkpoints=checkpoints, test_goals=test_goals)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,12 +177,19 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     configs = [load_config(path, budget=args.budget) for path in args.configs]
-    seeds = _parse_int_list(args.seeds)
+    if len(configs) < 2 or len({c.strategy for c in configs}) < len(configs):
+        raise ConfigError("--configs needs at least two configs, each with its own strategy")
+    seeds = _parse_int_list(args.seeds, "--seeds")
     if not seeds:
         raise ConfigError("no seeds given")
     if args.db_seed in seeds:
         raise ConfigError("test database seed must differ from every run seed")
-    checkpoints = _parse_int_list(args.checkpoints) if args.checkpoints else default_checkpoints(configs[0].budget)
+    if args.db_count < 0:
+        raise ConfigError(f"--db-count must be >= 0, got {args.db_count}")
+    if args.checkpoints:
+        checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
+    else:
+        checkpoints = default_checkpoints(configs[0].budget)
     out = _out_dir(args.out, "compare")
     world = configs[0].build_world()
     goals = make_test_db(world, args.db_count, args.db_seed)
@@ -248,6 +255,8 @@ def cmd_regions(args) -> int:
 
 def cmd_testdb(args) -> int:
     config = load_config(args.config)
+    if args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     world = config.build_world()
     goals = make_test_db(world, args.count, args.seed)
     out = Path(args.out)

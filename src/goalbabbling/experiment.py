@@ -1,4 +1,4 @@
-"""Top-level experiment loop.
+"""Top-level experiment loops.
 
 One run owns one world, one memory, one region tree and its own named
 random streams, and executes goal-reaching attempts until the budget of
@@ -10,6 +10,15 @@ exploration strategies are supported:
 * ``actuator_random``-- random motor babbling in the actuator space;
 * ``actuator_riac``  -- motor babbling driven by prediction-error progress
                         over a partition of the (state, action) space.
+
+Each family has one loop, ``_run_goal_babbling`` or ``_run_motor_babbling``,
+which runs in either world through a world adapter (``world_adapter``).  The
+adapter alone knows the world's memory class and options, the state an
+action starts from, when it goes back to rest and how that is logged, where
+a goal attempt starts, which reach runs (``reach_evolving`` on the arm,
+``reach_fixed`` on the episodic map, looked up here at call time), and for
+motor babbling the action box, the random draw, the prediction error and
+the insert.
 """
 from __future__ import annotations
 
@@ -20,7 +29,6 @@ import numpy as np
 
 from .competence import CompetenceConfig, max_competence
 from .config import (
-    ACTUATOR_RANDOM,
     ACTUATOR_RIAC,
     ENV_ARM,
     SAGG_RANDOM,
@@ -169,31 +177,15 @@ def run_experiment(config: ExperimentConfig, checkpoints=(), test_goals=None) ->
 def run_with_memory(config: ExperimentConfig, checkpoints=(), test_goals=None):
     """As `run_experiment`, but also return the final sensorimotor memory."""
     streams = RngStreams(config.seed)
-    world = config.build_world()
+    adapter = world_adapter(config, config.build_world())
     log = RunLog(config=config.to_dict())
-    marks = _Checkpoints(checkpoints, world, test_goals, config)
-    if config.environment.type == ENV_ARM:
-        if config.strategy in (SAGG_RIAC, SAGG_RANDOM):
-            memory = _run_goal_babbling_arm(config, world, streams, marks, log)
-        else:
-            memory = _run_actuator_arm(config, world, streams, marks, log)
-    else:
-        if config.strategy in (SAGG_RIAC, SAGG_RANDOM):
-            memory = _run_goal_babbling_map(config, world, streams, marks, log)
-        else:
-            memory = _run_actuator_map(config, world, streams, marks, log)
-    return log, memory
+    marks = _Checkpoints(checkpoints, adapter.world, test_goals, config)
+    run = _run_goal_babbling if config.strategy in (SAGG_RIAC, SAGG_RANDOM) else _run_motor_babbling
+    return log, run(config, adapter, streams, marks, log)
 
 
-# ---------------------------------------------------------------------- arm
-
-def _run_goal_babbling_arm(config, world: ArmWorld, streams, marks: _Checkpoints, log: RunLog) -> None:
-    memory = EvolvingMemory(
-        world.n_dof,
-        world.effect_dim,
-        neighbors=config.regression_neighbors,
-        support_radius=config.support_radius,
-    )
+def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoints, log: RunLog):
+    memory = adapter.new_memory()
     tree = _build_tree(config, streams.goals)
     competence = competence_config(config)
     budget = reaching_budget(config)
@@ -203,27 +195,21 @@ def _run_goal_babbling_arm(config, world: ArmWorld, streams, marks: _Checkpoints
         log.en_route_updates += 1
 
     hooks = conserve if config.conservation else None
-    alpha = world.rest_state()
     used = attempt = goals_made = idle = 0
     while used < config.budget:
         marks.collect(used, memory, tree, log)
-        if rest_reset_policy(attempt, config.reset_every):
-            alpha = world.rest_state()
-            log.resets.append(used)
+        adapter.begin(attempt, used, log)
         goal, mode = strategy_goal(config, tree, streams.goals, goals_made)
         goals_made += 1
-        log.goals.append(GoalEvent(attempt, goal, mode, world.within_reach(goal)))
-        current = world.forward(alpha)
-        targets = make_subgoals(current, goal, config.subgoal_count) if config.subgoals else [goal]
+        log.goals.append(GoalEvent(attempt, goal, mode, adapter.world.within_reach(goal)))
+        targets = make_subgoals(adapter.position(), goal, config.subgoal_count) if config.subgoals else [goal]
         spent = 0
         for i, target in enumerate(targets):
             if used >= config.budget:
                 break
-            start = world.forward(alpha)
-            outcome = reach_evolving(
-                world,
+            start = adapter.position()
+            outcome = adapter.reach(
                 memory,
-                alpha,
                 target,
                 budget,
                 competence,
@@ -231,7 +217,6 @@ def _run_goal_babbling_arm(config, world: ArmWorld, streams, marks: _Checkpoints
                 hooks=hooks,
                 allowance=config.budget - used,
             )
-            alpha = outcome.final_state
             used += outcome.micro_actions_used
             spent += outcome.micro_actions_used
             kind = "goal" if i == len(targets) - 1 else "subgoal"
@@ -241,39 +226,24 @@ def _run_goal_babbling_arm(config, world: ArmWorld, streams, marks: _Checkpoints
                 AttemptRecord(
                     attempt, kind, mode, target, start, outcome.final, outcome.gamma,
                     outcome.micro_actions_used, outcome.terminated_by, used, len(memory),
-                    world.within_reach(target),
+                    adapter.world.within_reach(target),
                 )
             )
         attempt += 1
         idle = idle + 1 if spent == 0 else 0
         if idle > _STALL_LIMIT:
-            raise RuntimeError("experiment stalled: attempts consume no micro-actions")
+            raise RuntimeError("experiment stalled: attempts consume no physical experiments")
     marks.collect(used, memory, tree, log)
     log.final_memory_size = len(memory)
     return memory
 
 
-def _actuator_reset_period(config, world: ArmWorld) -> int:
-    """Micro-actions between rest resets for the motor-babbling baselines:
-    the budgeted step count of a reach to the farthest eligible goal."""
-    farthest = config.task_box.farthest_distance(world.rest_effector())
-    return max(1, int(math.ceil(config.timeout_factor * farthest / config.velocity)))
-
-
-def _run_actuator_arm(config, world: ArmWorld, streams, marks: _Checkpoints, log: RunLog) -> None:
-    memory = EvolvingMemory(
-        world.n_dof,
-        world.effect_dim,
-        neighbors=config.regression_neighbors,
-        support_radius=config.support_radius,
-    )
+def _run_motor_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoints, log: RunLog):
+    memory = adapter.new_memory()
     policy = (
         ActuatorRiacPolicy(
-            Box(
-                np.concatenate([world.geometry.joint_low, np.full(world.n_dof, -config.explore_scale)]),
-                np.concatenate([world.geometry.joint_high, np.full(world.n_dof, config.explore_scale)]),
-            ),
-            state_dim=world.n_dof,
+            adapter.motor_box(),
+            state_dim=adapter.state_dim,
             window=config.window,
             capacity=config.region_capacity,
             split_candidates=config.split_candidates,
@@ -282,33 +252,16 @@ def _run_actuator_arm(config, world: ArmWorld, streams, marks: _Checkpoints, log
         if config.strategy == ACTUATOR_RIAC
         else None
     )
-    period = _actuator_reset_period(config, world)
-    alpha, effector = world.rest_state(), world.rest_effector()
-    log.resets.append(0)
     used = 0
-    since_reset = 0
     while used < config.budget:
         marks.collect(used, memory, tree=None, log=log)
-        if since_reset == period:
-            alpha, effector = world.rest_state(), world.rest_effector()
-            since_reset = 0
-            log.resets.append(used)
+        adapter.begin(used, used, log)
         if policy is None:
-            delta = streams.exploration.uniform(-config.explore_scale, config.explore_scale, world.n_dof)
+            adapter.babble(memory, adapter.random_action(streams.exploration), predict=False)
         else:
-            delta = policy.choose_point(alpha)[world.n_dof :]
-        result = world.step(alpha, delta, effector)
-        applied = result.alpha - alpha
-        if policy is not None:
-            model = memory.local_jacobian(alpha)
-            predicted = model.jacobian @ applied if model is not None else np.zeros(world.effect_dim)
-            error = float(np.linalg.norm(result.displacement - predicted))
-        memory.insert(alpha, applied, result.displacement)
-        if policy is not None:
-            policy.observe(np.concatenate([alpha, applied]), error)
-        alpha, effector = result.alpha, result.effector_after
+            action = policy.choose_point(adapter.state)[adapter.state_dim :]
+            policy.observe(*adapter.babble(memory, action, predict=True))
         used += 1
-        since_reset += 1
     marks.collect(used, memory, tree=None, log=log)
     log.final_memory_size = len(memory)
     return memory
@@ -393,104 +346,109 @@ class ActuatorRiacPolicy:
         self._state_high = np.insert(self._state_high, i, left_high, axis=1)
 
 
-# ---------------------------------------------------------------------- episodic map
+# ---------------------------------------------------------------------- worlds
 
-def _run_goal_babbling_map(config, world: SynergyWorld, streams, marks: _Checkpoints, log: RunLog) -> None:
-    memory = FixedMemory(
-        world.param_dim,
-        world.effect_dim,
-        inverse_candidates=config.inverse_candidates,
-        inverse_neighborhood=config.inverse_neighborhood,
-    )
-    tree = _build_tree(config, streams.goals)
-    competence = competence_config(config)
-    budget = reaching_budget(config)
-
-    def conserve(point: np.ndarray) -> None:
-        tree.update(point, max_competence(), RecordOrigin.EN_ROUTE)
-        log.en_route_updates += 1
-
-    hooks = conserve if config.conservation else None
-    rest = world.rest_effect()
-    used = attempt = goals_made = idle = 0
-    while used < config.budget:
-        marks.collect(used, memory, tree, log)
-        goal, mode = strategy_goal(config, tree, streams.goals, goals_made)
-        goals_made += 1
-        log.goals.append(GoalEvent(attempt, goal, mode, world.within_reach(goal)))
-        targets = make_subgoals(rest, goal, config.subgoal_count) if config.subgoals else [goal]
-        spent = 0
-        for i, target in enumerate(targets):
-            if used >= config.budget:
-                break
-            outcome = reach_fixed(
-                world,
-                memory,
-                target,
-                budget,
-                competence,
-                rng=streams.exploration,
-                hooks=hooks,
-                allowance=config.budget - used,
-            )
-            used += outcome.micro_actions_used
-            spent += outcome.micro_actions_used
-            kind = "goal" if i == len(targets) - 1 else "subgoal"
-            origin = RecordOrigin.SELF_GENERATED if kind == "goal" else RecordOrigin.SUBGOAL
-            tree.update(target, outcome.gamma, origin)
-            log.attempts.append(
-                AttemptRecord(
-                    attempt, kind, mode, target, rest, outcome.final, outcome.gamma,
-                    outcome.micro_actions_used, outcome.terminated_by, used, len(memory),
-                    world.within_reach(target),
-                )
-            )
-        attempt += 1
-        idle = idle + 1 if spent == 0 else 0
-        if idle > _STALL_LIMIT:
-            raise RuntimeError("experiment stalled: attempts consume no rollouts")
-    marks.collect(used, memory, tree, log)
-    log.final_memory_size = len(memory)
-    return memory
+def world_adapter(config: ExperimentConfig, world) -> _WorldAdapter:
+    """The adapter that runs `config`'s strategy in `world`."""
+    return (_ArmAdapter if config.environment.type == ENV_ARM else _MapAdapter)(config, world)
 
 
-def _run_actuator_map(config, world: SynergyWorld, streams, marks: _Checkpoints, log: RunLog) -> None:
-    memory = FixedMemory(
-        world.param_dim,
-        world.effect_dim,
-        inverse_candidates=config.inverse_candidates,
-        inverse_neighborhood=config.inverse_neighborhood,
-    )
-    policy = (
-        ActuatorRiacPolicy(
-            Box(np.zeros(world.param_dim), np.ones(world.param_dim)),
-            state_dim=0,
-            window=config.window,
-            capacity=config.region_capacity,
-            split_candidates=config.split_candidates,
-            rng=streams.goals,
-        )
-        if config.strategy == ACTUATOR_RIAC
-        else None
-    )
-    used = 0
-    while used < config.budget:
-        marks.collect(used, memory, tree=None, log=log)
-        if policy is None:
-            theta = streams.exploration.uniform(0.0, 1.0, world.param_dim)
+class _WorldAdapter:
+    """The per-world part of a run; the module docstring lists its duties."""
+
+    # Leading coordinates of a motor-babbling point that hold the state.
+    state_dim = 0
+    state = None
+
+    def __init__(self, config: ExperimentConfig, world, memory_class: type, **memory_options):
+        self.config, self.world = config, world
+        self.memory_class, self.memory_options = memory_class, memory_options
+
+    def new_memory(self):
+        return self.memory_class(self.world.geometry.n_dof, self.world.effect_dim, **self.memory_options)
+
+    def begin(self, counter: int, used: int, log: RunLog) -> None:
+        """Called before each goal-babbling attempt (`counter` counts them)
+        and each motor-babbling action (`counter` is `used`)."""
+
+
+class _ArmAdapter(_WorldAdapter):
+    def __init__(self, config: ExperimentConfig, world: ArmWorld):
+        options = dict(neighbors=config.regression_neighbors, support_radius=config.support_radius)
+        super().__init__(config, world, EvolvingMemory, **options)
+        self.state_dim = world.n_dof
+        self.state, self.effector = world.rest_state(), world.rest_effector()
+        if config.strategy in (SAGG_RIAC, SAGG_RANDOM):
+            self.period = config.reset_every
         else:
-            theta = policy.choose_point(None)
-        outcome = world.rollout(theta)
-        if policy is not None:
+            # The budgeted step count of a reach to the farthest eligible goal.
+            farthest = config.task_box.farthest_distance(self.effector)
+            self.period = max(1, int(math.ceil(config.timeout_factor * farthest / config.velocity)))
+
+    def begin(self, counter: int, used: int, log: RunLog) -> None:
+        if rest_reset_policy(counter, self.period):
+            self.state, self.effector = self.world.rest_state(), self.world.rest_effector()
+            log.resets.append(used)
+
+    def position(self) -> np.ndarray:
+        return self.world.forward(self.state)
+
+    def reach(self, memory, target, budget, competence, **options):
+        outcome = reach_evolving(self.world, memory, self.state, target, budget, competence, **options)
+        self.state = outcome.final_state
+        return outcome
+
+    def motor_box(self) -> Box:
+        scale = np.full(self.world.n_dof, self.config.explore_scale)
+        geometry = self.world.geometry
+        return Box(np.concatenate([geometry.joint_low, -scale]), np.concatenate([geometry.joint_high, scale]))
+
+    def random_action(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-self.config.explore_scale, self.config.explore_scale, self.world.n_dof)
+
+    def babble(self, memory: EvolvingMemory, delta: np.ndarray, predict: bool):
+        alpha = self.state
+        result = self.world.step(alpha, delta, self.effector)
+        applied = result.alpha - alpha
+        point = error = None
+        if predict:
+            model = memory.local_jacobian(alpha)
+            predicted = model.jacobian @ applied if model is not None else np.zeros(self.world.effect_dim)
+            error = float(np.linalg.norm(result.displacement - predicted))
+            point = np.concatenate([alpha, applied])
+        memory.insert(alpha, applied, result.displacement)
+        self.state, self.effector = result.alpha, result.effector_after
+        return point, error
+
+
+class _MapAdapter(_WorldAdapter):
+    def __init__(self, config: ExperimentConfig, world: SynergyWorld):
+        options = dict(inverse_candidates=config.inverse_candidates, inverse_neighborhood=config.inverse_neighborhood)
+        super().__init__(config, world, FixedMemory, **options)
+        self.rest = world.rest_effect()
+
+    def position(self) -> np.ndarray:
+        return self.rest
+
+    def reach(self, memory, target, budget, competence, **options):
+        return reach_fixed(self.world, memory, target, budget, competence, **options)
+
+    def motor_box(self) -> Box:
+        return Box(np.zeros(self.world.param_dim), np.ones(self.world.param_dim))
+
+    def random_action(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(0.0, 1.0, self.world.param_dim)
+
+    def babble(self, memory: FixedMemory, theta: np.ndarray, predict: bool):
+        outcome = self.world.rollout(theta)
+        error = None
+        if predict:
             # 1-NN forward prediction from the closest known parameters.
             if len(memory):
                 idx, _ = memory.nearest_params(theta, 1)
                 predicted = memory.effects[idx[0]]
             else:
-                predicted = np.zeros(world.effect_dim)
-            policy.observe(theta, float(np.linalg.norm(outcome - predicted)))
+                predicted = np.zeros(self.world.effect_dim)
+            error = float(np.linalg.norm(outcome - predicted))
         memory.insert(theta, outcome)
-        used += 1
-    marks.collect(used, memory, tree=None, log=log)
-    log.final_memory_size = len(memory)
-    return memory
+        return theta, error

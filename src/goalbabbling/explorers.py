@@ -363,7 +363,7 @@ def reach_fixed(
 
     known_best: float | None = None
     if len(memory):
-        predicted, _, nearest = memory.local_inverse(goal)
+        predicted, nearest = memory.local_inverse(goal)
         if nearest < 0:
             nearest = memory.nearest_effect(goal, 1)[0][0]
         # Closest already-observed outcome, measured in the same (possibly

@@ -96,7 +96,6 @@ class StepResult:
     """One micro-action: new joint state plus effector position before/after."""
 
     alpha: np.ndarray
-    clamped: bool
     effector_before: np.ndarray
     effector_after: np.ndarray
 
@@ -105,7 +104,29 @@ class StepResult:
         return self.effector_after - self.effector_before
 
 
-class ArmWorld:
+class PlanarWorld:
+    """What both worlds share: a planar chain whose effector is the outcome."""
+
+    geometry: ArmGeometry
+    task_bounds: Box | None
+
+    @property
+    def effect_dim(self) -> int:
+        return 2
+
+    @property
+    def reach_radius(self) -> float:
+        return self.geometry.total_length
+
+    def within_reach(self, point: np.ndarray) -> bool:
+        """Membership in the reachable set: the disk of the chain's total
+        length, intersected with the task bounds when configured."""
+        if float(point @ point) > self.reach_radius**2:
+            return False
+        return self.task_bounds.contains(point) if self.task_bounds is not None else True
+
+
+class ArmWorld(PlanarWorld):
     """Micro-action arm environment with an evolving joint-state context."""
 
     def __init__(
@@ -130,14 +151,6 @@ class ArmWorld:
     def n_dof(self) -> int:
         return self.geometry.n_dof
 
-    @property
-    def effect_dim(self) -> int:
-        return 2
-
-    @property
-    def reach_radius(self) -> float:
-        return self.geometry.total_length
-
     def rest_state(self) -> np.ndarray:
         return self._rest.copy()
 
@@ -150,28 +163,19 @@ class ArmWorld:
     def step(self, alpha: np.ndarray, delta: np.ndarray, effector: np.ndarray | None = None) -> StepResult:
         """Apply a joint increment, clamping the result to the joint limits.
 
-        Clamping is silent apart from the returned flag; the displacement is
-        measured on the actually-applied motion.  A caller that already
-        holds the effector position at `alpha` (``forward(alpha)``, as a
-        previous step's ``effector_after``) passes it as `effector`, which
-        saves one forward-kinematics pass; it becomes ``effector_before``.
+        Clamping is silent; the displacement is measured on the actually
+        applied motion.  A caller that already holds the effector position
+        at `alpha` (``forward(alpha)``, as a previous step's
+        ``effector_after``) passes it as `effector`, which saves one
+        forward-kinematics pass; it becomes ``effector_before``.
         """
         before = forward_kinematics(self.geometry, alpha) if effector is None else effector
-        raw = alpha + delta
-        new = np.clip(raw, self.geometry.joint_low, self.geometry.joint_high)
-        clamped = bool(np.any(new != raw))
+        new = np.clip(alpha + delta, self.geometry.joint_low, self.geometry.joint_high)
         after = forward_kinematics(self.geometry, new)
-        return StepResult(new, clamped, before, after)
-
-    def within_reach(self, point: np.ndarray) -> bool:
-        """Membership in the reachable set: the disk of the chain's total
-        length, intersected with the task bounds when configured."""
-        if float(point @ point) > self.reach_radius**2:
-            return False
-        return self.task_bounds.contains(point) if self.task_bounds is not None else True
+        return StepResult(new, before, after)
 
 
-class SynergyWorld:
+class SynergyWorld(PlanarWorld):
     """Episodic environment: parameters in [0,1]^k map to one outcome point.
 
     Parameters are rescaled into the joint-limit intervals and the pose is
@@ -188,14 +192,6 @@ class SynergyWorld:
     @property
     def param_dim(self) -> int:
         return self.geometry.n_dof
-
-    @property
-    def effect_dim(self) -> int:
-        return 2
-
-    @property
-    def reach_radius(self) -> float:
-        return self.geometry.total_length
 
     def rescale(self, theta: np.ndarray) -> np.ndarray:
         return self.geometry.joint_low + np.asarray(theta, dtype=float) * self._span
@@ -220,8 +216,3 @@ class SynergyWorld:
 
     def rest_effect(self) -> np.ndarray:
         return self._rest_effect.copy()
-
-    def within_reach(self, point: np.ndarray) -> bool:
-        if float(point @ point) > self.reach_radius**2:
-            return False
-        return self.task_bounds.contains(point) if self.task_bounds is not None else True

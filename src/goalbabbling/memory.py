@@ -17,7 +17,6 @@ Two memory flavours exist:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -46,44 +45,27 @@ class EmptyMemoryError(RuntimeError):
     """Raised when a nearest-neighbor query hits an empty memory."""
 
 
-@dataclass(frozen=True)
-class SensorimotorEntry:
-    """One learning exemplar as returned by queries."""
-
-    context: np.ndarray
-    action: np.ndarray | None
-    effect: np.ndarray
-
-
 class LocalLinearModel:
     """A local linear map with its Moore-Penrose pseudo-inverse.
 
-    ``jacobian`` maps action/parameter changes to effect changes (m x n);
+    ``jacobian`` maps action changes to effect changes (m x n);
     ``pseudo_inverse`` maps the other way (n x m).  The pair satisfies the
-    Moore-Penrose identities to numerical precision.  A model may be built
-    from one side alone; the other is computed with ``np.linalg.pinv`` when
-    first read, so callers that use one side do not pay for the other.
+    Moore-Penrose identities to numerical precision.  The pseudo-inverse is
+    computed with ``np.linalg.pinv`` when first read, so callers that use
+    the map alone do not pay for it.
     """
 
-    __slots__ = ("_jacobian", "_pseudo_inverse", "support_size")
+    __slots__ = ("jacobian", "_pseudo_inverse", "support_size")
 
-    def __init__(self, jacobian: np.ndarray | None, pseudo_inverse: np.ndarray | None, support_size: int):
-        if jacobian is None and pseudo_inverse is None:
-            raise ValueError("a local model needs its map or its pseudo-inverse")
-        self._jacobian = jacobian
-        self._pseudo_inverse = pseudo_inverse
+    def __init__(self, jacobian: np.ndarray, support_size: int):
+        self.jacobian = jacobian
+        self._pseudo_inverse = None
         self.support_size = support_size
-
-    @property
-    def jacobian(self) -> np.ndarray:
-        if self._jacobian is None:
-            self._jacobian = np.linalg.pinv(self._pseudo_inverse)
-        return self._jacobian
 
     @property
     def pseudo_inverse(self) -> np.ndarray:
         if self._pseudo_inverse is None:
-            self._pseudo_inverse = np.linalg.pinv(self._jacobian)
+            self._pseudo_inverse = np.linalg.pinv(self.jacobian)
         return self._pseudo_inverse
 
 
@@ -366,13 +348,7 @@ class EvolvingMemory:
         self._actions[i] = action
         self._effects[i] = effect
 
-    def nearest(self, key: np.ndarray, k: int = 1) -> list[SensorimotorEntry]:
-        """The k stored exemplars whose context is closest to `key`."""
-        idx, _ = self._index.query(np.asarray(key, dtype=float), k)
-        ctx = self._index.points
-        return [SensorimotorEntry(ctx[i].copy(), self._actions[i].copy(), self._effects[i].copy()) for i in idx]
-
-    def local_jacobian(self, context: np.ndarray, k: int | None = None) -> LocalLinearModel | None:
+    def local_jacobian(self, context: np.ndarray) -> LocalLinearModel | None:
         """Fit the local linear action->effect map around `context`.
 
         Returns None when fewer than ``min_support`` exemplars lie within
@@ -380,13 +356,12 @@ class EvolvingMemory:
         """
         if len(self) == 0:
             return None
-        k = self.neighbors if k is None else k
-        idx, dist = self._index.query(np.asarray(context, dtype=float), k)
+        idx, dist = self._index.query(np.asarray(context, dtype=float), self.neighbors)
         keep = idx[dist <= self.support_radius]
         if keep.shape[0] < self.min_support:
             return None
         jac = _fit_ridge(self._actions[keep], self._effects[keep], self.ridge)
-        return LocalLinearModel(jac, None, keep.shape[0])
+        return LocalLinearModel(jac, keep.shape[0])
 
     def local_pseudo_inverses(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pseudo-inverses of the local Jacobians around every row of
@@ -473,14 +448,6 @@ class FixedMemory:
         self._effect_index.add(effect)
         self._param_index.add(params)
 
-    def nearest(self, key: np.ndarray, k: int = 1) -> list[SensorimotorEntry]:
-        """The k stored exemplars whose effect is closest to `key`."""
-        idx, _ = self._effect_index.query(np.asarray(key, dtype=float), k)
-        return [
-            SensorimotorEntry(self.params[i].copy(), None, self.effects[i].copy())
-            for i in idx
-        ]
-
     def nearest_effect(self, key: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self._effect_index.query(np.asarray(key, dtype=float), k)
 
@@ -489,14 +456,14 @@ class FixedMemory:
 
     def local_inverse(
         self, goal: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
-    ) -> tuple[np.ndarray, LocalLinearModel, int]:
+    ) -> tuple[np.ndarray, int]:
         """Predict the parameters for `goal`: one row of ``local_inverses``."""
-        predicted, models, nearest = self.local_inverses(np.asarray(goal, dtype=float)[None], candidates, neighborhood)
-        return predicted[0], models[0], int(nearest[0])
+        predicted, nearest = self.local_inverses(np.asarray(goal, dtype=float)[None], candidates, neighborhood)
+        return predicted[0], int(nearest[0])
 
     def local_inverses(
         self, goals: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
-    ) -> tuple[np.ndarray, list[LocalLinearModel], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Predict the parameters for every row of `goals` from the most
         consistent neighborhood of past outcomes.
 
@@ -510,9 +477,8 @@ class FixedMemory:
 
         All goals share one effect-index query and all candidate sets one
         params-index query; each row is the same as for that goal alone.
-        Returns the (rows x param_dim) predictions, one model per row, and
-        per row the index of the stored effect nearest to the goal, or -1.
-        The index is given when there are at least two candidates and the
+        Returns the (rows x param_dim) predictions and per row the index of
+        the stored effect nearest to the goal, or -1.  The index is given when there are at least two candidates and the
         first is strictly closer than the second.  Then it is the only
         point at the smallest distance, and ``nearest_effect(goal, 1)``
         returns it too, because both queries compute each point's distance
@@ -526,7 +492,7 @@ class FixedMemory:
         goals = np.asarray(goals, dtype=float)
         predicted = np.empty((goals.shape[0], self.param_dim))
         if goals.shape[0] == 0:
-            return predicted, [], np.empty(0, dtype=np.intp)
+            return predicted, np.empty(0, dtype=np.intp)
         params, effects = self.params, self.effects
         cand_idx, cand_dist = self._effect_index.query_many(goals, min(le, len(self)))
         if cand_idx.shape[1] < 2:
@@ -540,7 +506,6 @@ class FixedMemory:
         else:
             spread = np.std(params[set_idx], axis=2, ddof=1).sum(axis=2)
         best_sets = set_idx[np.arange(goals.shape[0]), spread.argmin(axis=1)]
-        models = []
         for row, best_set in enumerate(best_sets):
             chosen_params = params[best_set]
             chosen_effects = effects[best_set]
@@ -552,8 +517,7 @@ class FixedMemory:
                 coef, *_ = np.linalg.lstsq(chosen_effects - effect_center, chosen_params - param_center, rcond=None)
                 inverse = coef.T
             predicted[row] = param_center + inverse @ (goals[row] - effect_center)
-            models.append(LocalLinearModel(None, inverse, best_set.shape[0]))
-        return predicted, models, nearest
+        return predicted, nearest
 
     @staticmethod
     def csv_header(param_dim: int, effect_dim: int) -> list[str]:

@@ -281,3 +281,32 @@ def test_output_root_env_var(demo_config, tmp_path, monkeypatch):
     assert main(["run", "--config", str(demo_config), "--budget", "50"]) == 0
     produced = list((tmp_path / "root").rglob("manifest.json"))
     assert len(produced) == 1
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["run", "--config", "{demo}", "--checkpoints", "abc"], "--checkpoints"),
+        (["run", "--config", "{demo}", "--checkpoints", "-5"], "--checkpoints"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "x"], "--seeds"),
+        (["testdb", "--config", "{demo}", "--count", "-1", "--seed", "1", "--out", "{tmp}/db.csv"], "--count"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-count", "-1"], "--db-count"),
+        (["compare", "--configs", "{demo}", "--seeds", "1"], "--configs"),
+        (["compare", "--configs", "{demo}", "{demo}", "--seeds", "1"], "--configs"),
+    ],
+    ids=["checkpoints-text", "checkpoints-negative", "seeds-text", "count-negative", "db-count-negative",
+         "one-config", "duplicate-strategy"],
+)
+def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys, args, flag):
+    other = tmp_path / "random.json"
+    data = json.loads(demo_config.read_text())
+    data["strategy"] = "sagg_random"
+    other.write_text(json.dumps(data))
+    names = dict(demo=demo_config, other=other, tmp=tmp_path)
+    argv = [arg.format(**names) for arg in args]
+    if args[0] != "testdb":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "db.csv").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goalbabbling.competence import CompetenceConfig, clip_to_gamma, competence_normalized
-from goalbabbling.config import EnvironmentSpec, ExperimentConfig
+from goalbabbling.config import EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
 from goalbabbling.experiment import ActuatorRiacPolicy, run_experiment, run_with_memory, strategy_goal
 from goalbabbling.rng import RngStreams
 from goalbabbling.spaces import Box
@@ -251,3 +251,27 @@ def test_attempt_counters_are_monotone():
     assert totals == sorted(totals)
     attempts = [row.attempt for row in log.attempts]
     assert attempts == sorted(attempts)
+
+
+# The run fields that no output file holds, so the golden digests cannot
+# see them: (resets, en-route updates, final memory size) for seed 3 and a
+# 300-step budget.
+_ARM_GOAL_RESETS = [0, 49, 69, 130, 160, 176, 210, 235, 267, 295]
+_ARM_MOTOR_RESETS = [0, 72, 144, 216, 288]
+PINNED_LOG_FIELDS = {
+    ("arm2_demo", "sagg_riac"): (_ARM_GOAL_RESETS, 300, 300),
+    ("arm2_demo", "sagg_random"): (_ARM_GOAL_RESETS, 300, 300),
+    ("arm2_demo", "actuator_random"): (_ARM_MOTOR_RESETS, 0, 300),
+    ("arm2_demo", "actuator_riac"): (_ARM_MOTOR_RESETS, 0, 300),
+    ("map8_mid", "sagg_riac"): ([], 300, 300),
+    ("map8_mid", "sagg_random"): ([], 300, 300),
+    ("map8_mid", "actuator_random"): ([], 0, 300),
+    ("map8_mid", "actuator_riac"): ([], 0, 300),
+}
+
+
+@pytest.mark.parametrize("name, strategy", sorted(PINNED_LOG_FIELDS))
+def test_run_log_fields_outside_the_outputs_are_pinned(name, strategy):
+    config = dataclasses.replace(load_config(bundled_config_path(name), seed=3, budget=300), strategy=strategy)
+    log = run_experiment(config)
+    assert (log.resets, log.en_route_updates, log.final_memory_size) == PINNED_LOG_FIELDS[(name, strategy)]

@@ -397,8 +397,11 @@ def reference_reach_evolving(
                 delta = rng.uniform(-budget.explore_scale, budget.explore_scale, world.n_dof)
                 if np.linalg.norm(delta) > world.max_action_norm:
                     events.append("clipped")
-                if advance(clip_norm(delta, world.max_action_norm)).clamped:
+                delta = clip_norm(delta, world.max_action_norm)
+                raw = alpha + delta
+                if np.any(np.clip(raw, world.geometry.joint_low, world.geometry.joint_high) != raw):
                     events.append("clamped")
+                advance(delta)
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                 if gamma == 0.0:
                     events.append("reached mid-burst" if row < budget.explore_actions - 1 else "reached")

@@ -13,7 +13,6 @@ from goalbabbling.memory import (
     FixedMemory,
     LocalLinearModel,
     NearestIndex,
-    SensorimotorEntry,
 )
 
 
@@ -54,7 +53,8 @@ def test_duplicate_keys_are_both_retained():
     memory.insert(*entry)
     memory.insert(*entry)
     assert len(memory) == 2
-    assert len(memory.nearest(np.array([1.0, 1.0]), 2)) == 2
+    idx, dist = memory._index.query(np.array([1.0, 1.0]), 2)
+    assert sorted(idx) == [0, 1] and list(dist) == [0.0, 0.0]
 
 
 def test_exact_queries_match_linear_scan_across_rebuilds():
@@ -336,8 +336,8 @@ def test_insert_nearest_round_trip():
     for c in contexts:
         memory.insert(c, rng.normal(size=3), rng.normal(size=2))
     for c in contexts:
-        (entry,) = memory.nearest(c, 1)
-        np.testing.assert_array_equal(entry.context, c)
+        (i,), _ = memory._index.query(c, 1)
+        np.testing.assert_array_equal(memory._index.points[i], c)
 
 
 def test_insert_rejects_dimension_mismatch():
@@ -382,30 +382,21 @@ def test_pseudo_inverse_closed_form_row_vector():
 def test_local_model_computes_the_missing_side_on_first_read():
     rng = np.random.default_rng(9)
     jac = rng.normal(size=(2, 5))
-    from_map = LocalLinearModel(jac, None, 7)
-    assert from_map.jacobian is jac
-    np.testing.assert_array_equal(from_map.pseudo_inverse, np.linalg.pinv(jac))
-    assert from_map.pseudo_inverse is from_map.pseudo_inverse
-    inverse = rng.normal(size=(5, 2))
-    from_inverse = LocalLinearModel(None, inverse, 3)
-    np.testing.assert_array_equal(from_inverse.jacobian, np.linalg.pinv(inverse))
-    assert from_inverse.pseudo_inverse is inverse and from_inverse.support_size == 3
-    with pytest.raises(ValueError):
-        LocalLinearModel(None, None, 0)
+    model = LocalLinearModel(jac, 7)
+    assert model.jacobian is jac and model.support_size == 7
+    assert model._pseudo_inverse is None
+    np.testing.assert_array_equal(model.pseudo_inverse, np.linalg.pinv(jac))
+    assert model.pseudo_inverse is model.pseudo_inverse
 
 
 def test_memory_models_pair_each_side_with_its_pseudo_inverse():
     rng = np.random.default_rng(10)
     evolving = EvolvingMemory(3, 2, neighbors=10, support_radius=10.0)
-    fixed = FixedMemory(3, 2, inverse_candidates=3, inverse_neighborhood=6)
     for _ in range(20):
         context, action, effect = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
         evolving.insert(context, action, effect)
-        fixed.insert(action, effect)
     model = evolving.local_jacobian(np.zeros(3))
     np.testing.assert_array_equal(model.pseudo_inverse, np.linalg.pinv(model.jacobian))
-    _, model, _ = fixed.local_inverse(np.zeros(2))
-    np.testing.assert_array_equal(model.jacobian, np.linalg.pinv(model.pseudo_inverse))
 
 
 def test_local_jacobian_requires_support_within_radius():
@@ -455,9 +446,9 @@ def test_local_inverse_single_entry_returns_it():
     memory = FixedMemory(4, 2)
     theta = np.array([0.1, 0.9, 0.5, 0.3])
     memory.insert(theta, np.array([10.0, -3.0]))
-    predicted, model, _ = memory.local_inverse(np.array([50.0, 50.0]))
+    predicted, nearest = memory.local_inverse(np.array([50.0, 50.0]))
     np.testing.assert_allclose(predicted, theta, atol=1e-12)
-    assert model.support_size == 1
+    assert nearest == -1  # one candidate, so none is strictly nearest
 
 
 def test_local_inverse_raises_on_empty_memory():
@@ -485,7 +476,7 @@ def test_local_inverse_prefers_single_cluster():
     effects = 0.05 * rng.random((16, 2))
     for theta, effect in zip(np.vstack([cluster_a, cluster_b]), effects):
         memory.insert(theta, effect)
-    predicted, _, _ = memory.local_inverse(np.array([0.0, 0.0]))
+    predicted, _ = memory.local_inverse(np.array([0.0, 0.0]))
     in_a = np.all(np.abs(predicted - 0.105) < 0.05)
     in_b = np.all(np.abs(predicted - 0.905) < 0.05)
     assert in_a or in_b  # never the mid-cluster average ~0.5
@@ -502,7 +493,7 @@ def test_local_inverse_solves_linear_map():
         memory.insert(theta, mapping @ theta)
     for _ in range(10):
         goal = mapping @ rng.random(5)
-        predicted, _, _ = memory.local_inverse(goal)
+        predicted, _ = memory.local_inverse(goal)
         assert np.linalg.norm(mapping @ predicted - goal) < 1e-6
 
 
@@ -524,7 +515,7 @@ def _local_inverse_scan(memory, goal, candidates, neighborhood):
     else:
         coef, *_ = np.linalg.lstsq(effects - effect_center, params - param_center, rcond=None)
         inverse = coef.T
-    return param_center + inverse @ (goal - effect_center), inverse, len(best_set)
+    return param_center + inverse @ (goal - effect_center)
 
 
 @pytest.mark.parametrize("size", [1, 3, 511, 512, 700])  # below the neighbourhood; tail only; tree only; both
@@ -541,18 +532,15 @@ def test_local_inverses_equal_the_per_candidate_scan_bitwise(size):
     goals = np.vstack([rng.normal(0.0, 1.5, (30, 2)), memory.effects[rng.integers(size, size=10)]])
     overrides = [(None, None), (1, 1), (3, 2), (7, 15), (40, 60)]
     for candidates, neighborhood in overrides:
-        predicted, models, _ = memory.local_inverses(goals, candidates, neighborhood)
-        assert predicted.shape == (len(goals), 8) and len(models) == len(goals)
+        predicted, nearest = memory.local_inverses(goals, candidates, neighborhood)
+        assert predicted.shape == (len(goals), 8) and nearest.shape == (len(goals),)
         le = memory.inverse_candidates if candidates is None else candidates
         m = memory.inverse_neighborhood if neighborhood is None else neighborhood
         for row, goal in enumerate(goals):
-            expected, inverse, support = _local_inverse_scan(memory, goal, le, m)
+            expected = _local_inverse_scan(memory, goal, le, m)
             assert np.array_equal(predicted[row], expected)
-            assert np.array_equal(models[row].pseudo_inverse, inverse)
-            assert models[row].support_size == support
-            one, model, _ = memory.local_inverse(goal, candidates, neighborhood)
+            one, _ = memory.local_inverse(goal, candidates, neighborhood)
             assert np.array_equal(one, expected)
-            assert np.array_equal(model.pseudo_inverse, inverse)
 
 
 def test_local_inverse_nearest_index_equals_nearest_effect():
@@ -577,10 +565,10 @@ def test_local_inverse_nearest_index_equals_nearest_effect():
             rng.uniform(-1.0, 11.0, (60, 2)),
         ]
     )
-    _, _, nearest = memory.local_inverses(goals)
+    _, nearest = memory.local_inverses(goals)
     given = tied = tree_tail_ties = 0
     for row, goal in enumerate(goals):
-        assert memory.local_inverse(goal)[2] == nearest[row]
+        assert memory.local_inverse(goal)[1] == nearest[row]
         idx, dist = memory.nearest_effect(goal, 2)
         if nearest[row] >= 0:
             given += 1
@@ -598,17 +586,17 @@ def test_local_inverses_of_no_goals_and_on_empty_memory():
     with pytest.raises(EmptyMemoryError):
         memory.local_inverses(np.zeros((3, 2)))
     memory.insert(np.full(4, 0.5), np.zeros(2))
-    predicted, models, nearest = memory.local_inverses(np.zeros((0, 2)))
-    assert predicted.shape == (0, 4) and models == [] and nearest.shape == (0,)
+    predicted, nearest = memory.local_inverses(np.zeros((0, 2)))
+    assert predicted.shape == (0, 4) and nearest.shape == (0,)
 
 
 def test_nearest_on_fixed_memory_keys_by_effect():
     memory = FixedMemory(2, 2)
     memory.insert(np.array([0.1, 0.1]), np.array([0.0, 0.0]))
     memory.insert(np.array([0.9, 0.9]), np.array([10.0, 10.0]))
-    (entry,) = memory.nearest(np.array([9.0, 9.0]), 1)
-    np.testing.assert_array_equal(entry.effect, [10.0, 10.0])
-    assert entry.action is None
+    (i,), _ = memory.nearest_effect(np.array([9.0, 9.0]), 1)
+    np.testing.assert_array_equal(memory.effects[i], [10.0, 10.0])
+    np.testing.assert_array_equal(memory.params[i], [0.9, 0.9])
 
 
 # ----------------------------------------------------------------- csv round trip
