@@ -35,12 +35,7 @@ from .explorers import (
     rest_reset_policy,
 )
 from .kinematics import ArmGeometry, ArmWorld, StepResult, SynergyWorld, forward_kinematics
-from .memory import (
-    EmptyMemoryError,
-    EvolvingMemory,
-    FixedMemory,
-    LocalLinearModel,
-)
+from .memory import EmptyMemoryError, EvolvingMemory, FixedMemory
 from .regions import GoalRecord, RecordOrigin, Region, RegionTree, interest_of
 from .rng import RngStreams, stream
 from .spaces import Box

@@ -59,6 +59,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
+def _parse_checkpoints(text: str, budget: int) -> list[int]:
+    """The `--checkpoints` values, none of which may exceed `budget`."""
+    checkpoints = _parse_int_list(text, "--checkpoints")
+    late = [c for c in checkpoints if c > budget]
+    if late:
+        raise ConfigError(f"--checkpoints must not exceed the budget of {budget}, got {late[0]}")
+    return checkpoints
+
+
 def write_run_outputs(log: RunLog, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -154,7 +163,7 @@ def _load_memory(path: str, config: ExperimentConfig, world):
 def cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed, budget=args.budget)
     out = _out_dir(args.out, f"{Path(args.config).stem}_seed{config.seed}")
-    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints") if args.checkpoints else [config.budget]
+    checkpoints = _parse_checkpoints(args.checkpoints, config.budget) if args.checkpoints else [config.budget]
     test_goals = _load_test_goals(args.testdb, config.build_world()) if args.testdb else None
     log, memory = run_with_memory(config, checkpoints=checkpoints, test_goals=test_goals)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,10 +195,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("test database seed must differ from every run seed")
     if args.db_count < 0:
         raise ConfigError(f"--db-count must be >= 0, got {args.db_count}")
-    if args.checkpoints:
-        checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
-    else:
-        checkpoints = default_checkpoints(configs[0].budget)
+    budget = min(c.budget for c in configs)
+    checkpoints = _parse_checkpoints(args.checkpoints, budget) if args.checkpoints else default_checkpoints(budget)
     out = _out_dir(args.out, "compare")
     world = configs[0].build_world()
     goals = make_test_db(world, args.db_count, args.db_seed)

@@ -240,9 +240,6 @@ class ExperimentConfig:
         data["task_high"] = list(self.task_high)
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _from_mapping(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):

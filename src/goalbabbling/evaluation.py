@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .competence import CompetenceConfig
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 # `reach_evolving` stays importable from this module, where the benchmark's
-# tracer wraps it by name; evaluation itself reaches in lockstep.
-from .explorers import ReachingBudget, euclidean, reach_evolving, reach_evolving_lockstep  # noqa: F401
-from .kinematics import ArmWorld
-from .experiment import RunLog, competence_config, reaching_budget, run_experiment
+# tracer wraps it by name; evaluation itself reaches through the world adapter.
+from .explorers import ReachingBudget, euclidean, reach_evolving  # noqa: F401
+from .experiment import RunLog, competence_config, reaching_budget, run_experiment, world_adapter
 
 
 # Evaluation checkpoint schedule used when a caller does not pick one.
@@ -75,7 +74,11 @@ class ComparisonResult:
     logs: dict  # (strategy, seed) -> RunLog
 
 
-def make_test_db(world, count: int, seed: int, batch: int = 1024) -> np.ndarray:
+# Proposals drawn per round of `make_test_db`'s rejection sampling.
+_TEST_DB_BATCH = 1024
+
+
+def make_test_db(world, count: int, seed: int) -> np.ndarray:
     """Uniform sample of `count` reachable points, by rejection from the
     bounding box of the reachable set."""
     if count < 0:
@@ -95,13 +98,13 @@ def make_test_db(world, count: int, seed: int, batch: int = 1024) -> np.ndarray:
     found = 0
     drawn = 0
     while found < count:
-        proposals = low + rng.random((batch, 2)) * (high - low)
-        drawn += batch
+        proposals = low + rng.random((_TEST_DB_BATCH, 2)) * (high - low)
+        drawn += _TEST_DB_BATCH
         keep = proposals[[world.within_reach(p) for p in proposals]]
         take = min(count - found, keep.shape[0])
         points[found : found + take] = keep[:take]
         found += take
-        if drawn > max(batch, count) * 10_000:
+        if drawn > max(_TEST_DB_BATCH, count) * 10_000:
             raise RuntimeError("rejection sampling efficiency below 1e-4; reachable set misconfigured")
     return points
 
@@ -122,21 +125,16 @@ def exploitation_competence(config: ExperimentConfig) -> CompetenceConfig:
 def evaluate(memory, world, goals: np.ndarray, config: ExperimentConfig) -> float:
     """Mean Euclidean reaching error from rest over the test goals.
 
-    All goals are scored in one pass.  On the arm they are reached for in
-    lockstep; each final position equals that of ``reach_evolving(...,
-    learn=False)`` under ``exploitation_budget``.  In the episodic world
-    one stacked local-inverse prediction and one batched rollout give, row
-    by row, what ``local_inverse`` and ``rollout`` give for each goal.
+    All goals are scored in one pass, through the world adapter's
+    ``exploit``.  On the arm they are reached for in lockstep; each final
+    position equals that of ``reach_evolving(..., learn=False)`` under
+    ``exploitation_budget``.  In the episodic world one stacked
+    local-inverse prediction and one batched rollout give, row by row, what
+    ``local_inverse`` and ``rollout`` give for each goal.
     """
-    if isinstance(world, ArmWorld):
-        outcomes = reach_evolving_lockstep(
-            world, memory, world.rest_state(), goals, exploitation_budget(config), exploitation_competence(config)
-        )
-        finals = [outcome.final for outcome in outcomes]
-    elif len(memory) == 0:
-        finals = [world.rest_effect()] * len(goals)
-    else:
-        finals = world.rollout_many(np.clip(memory.local_inverses(goals)[0], 0.0, 1.0))
+    finals = world_adapter(config, world).exploit(
+        memory, goals, exploitation_budget(config), exploitation_competence(config)
+    )
     errors = [euclidean(final, goal) for final, goal in zip(finals, goals)]
     return float(np.mean(errors)) if errors else 0.0
 
@@ -192,6 +190,11 @@ def compare_strategies(
         raise ValueError("need at least two strategies to compare")
     if len(set(c.strategy for c in configs)) != len(configs):
         raise ValueError("duplicate strategy in configs")
+    # One test database scores every run, so every run must share its world.
+    for name in ("environment", "task_low", "task_high"):
+        if any(getattr(c, name) != getattr(configs[0], name) for c in configs):
+            given = "; ".join(f"{c.strategy} has {getattr(c, name)}" for c in configs)
+            raise ConfigError(f"configs differ in {name}: {given}")
     jobs = []
     for config in configs:
         for seed in seeds:

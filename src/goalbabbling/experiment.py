@@ -16,9 +16,10 @@ which runs in either world through a world adapter (``world_adapter``).  The
 adapter alone knows the world's memory class and options, the state an
 action starts from, when it goes back to rest and how that is logged, where
 a goal attempt starts, which reach runs (``reach_evolving`` on the arm,
-``reach_fixed`` on the episodic map, looked up here at call time), and for
-motor babbling the action box, the random draw, the prediction error and
-the insert.
+``reach_fixed`` on the episodic map, looked up here at call time), how a
+snapshot of the learner reaches for test goals in pure exploitation
+(``exploit``), and for motor babbling the action box, the random draw, the
+prediction error and the insert.
 """
 from __future__ import annotations
 
@@ -35,7 +36,9 @@ from .config import (
     SAGG_RIAC,
     ExperimentConfig,
 )
-from .explorers import ReachingBudget, make_subgoals, reach_evolving, reach_fixed, rest_reset_policy
+from .explorers import (
+    ReachingBudget, make_subgoals, reach_evolving, reach_evolving_lockstep, reach_fixed, rest_reset_policy
+)
 from .kinematics import ArmWorld, SynergyWorld
 from .memory import EvolvingMemory, FixedMemory
 from .regions import RecordOrigin, RegionTree
@@ -398,6 +401,10 @@ class _ArmAdapter(_WorldAdapter):
         self.state = outcome.final_state
         return outcome
 
+    def exploit(self, memory, goals, budget, competence) -> list[np.ndarray]:
+        outcomes = reach_evolving_lockstep(self.world, memory, self.world.rest_state(), goals, budget, competence)
+        return [outcome.final for outcome in outcomes]
+
     def motor_box(self) -> Box:
         scale = np.full(self.world.n_dof, self.config.explore_scale)
         geometry = self.world.geometry
@@ -412,8 +419,8 @@ class _ArmAdapter(_WorldAdapter):
         applied = result.alpha - alpha
         point = error = None
         if predict:
-            model = memory.local_jacobian(alpha)
-            predicted = model.jacobian @ applied if model is not None else np.zeros(self.world.effect_dim)
+            jacobian = memory.local_jacobian(alpha)
+            predicted = jacobian @ applied if jacobian is not None else np.zeros(self.world.effect_dim)
             error = float(np.linalg.norm(result.displacement - predicted))
             point = np.concatenate([alpha, applied])
         memory.insert(alpha, applied, result.displacement)
@@ -432,6 +439,11 @@ class _MapAdapter(_WorldAdapter):
 
     def reach(self, memory, target, budget, competence, **options):
         return reach_fixed(self.world, memory, target, budget, competence, **options)
+
+    def exploit(self, memory, goals, budget, competence) -> list[np.ndarray]:
+        if len(memory) == 0:
+            return [self.rest] * len(goals)
+        return self.world.rollout_many(np.clip(memory.local_inverses(goals)[0], 0.0, 1.0))
 
     def motor_box(self) -> Box:
         return Box(np.zeros(self.world.param_dim), np.ones(self.world.param_dim))

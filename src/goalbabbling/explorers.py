@@ -188,12 +188,12 @@ def reach_evolving(
             hooks(point)
 
     while steps < cap:
-        model = memory.local_jacobian(alpha)
-        explore = model is None
-        if model is not None:
+        jacobian = memory.local_jacobian(alpha)
+        explore = jacobian is None
+        if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            delta = _clip_norm(model.pseudo_inverse @ desired, world.max_action_norm)
+            delta = _clip_norm(np.linalg.pinv(jacobian) @ desired, world.max_action_norm)
             result = world.step(alpha, delta, current)
             _record(alpha, result.alpha, result.displacement, result.effector_after)
             alpha, current = result.alpha, result.effector_after
@@ -214,7 +214,7 @@ def reach_evolving(
                 if stalled_phases >= budget.blocking_window:
                     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                     return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
-            if model is None and not budget.explore_actions:
+            if jacobian is None and not budget.explore_actions:
                 # Nothing can move the arm, so every later round would be
                 # this one again: end now, as the blocking check would.
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)

@@ -45,30 +45,6 @@ class EmptyMemoryError(RuntimeError):
     """Raised when a nearest-neighbor query hits an empty memory."""
 
 
-class LocalLinearModel:
-    """A local linear map with its Moore-Penrose pseudo-inverse.
-
-    ``jacobian`` maps action changes to effect changes (m x n);
-    ``pseudo_inverse`` maps the other way (n x m).  The pair satisfies the
-    Moore-Penrose identities to numerical precision.  The pseudo-inverse is
-    computed with ``np.linalg.pinv`` when first read, so callers that use
-    the map alone do not pay for it.
-    """
-
-    __slots__ = ("jacobian", "_pseudo_inverse", "support_size")
-
-    def __init__(self, jacobian: np.ndarray, support_size: int):
-        self.jacobian = jacobian
-        self._pseudo_inverse = None
-        self.support_size = support_size
-
-    @property
-    def pseudo_inverse(self) -> np.ndarray:
-        if self._pseudo_inverse is None:
-            self._pseudo_inverse = np.linalg.pinv(self.jacobian)
-        return self._pseudo_inverse
-
-
 class NearestIndex:
     """Append-only point set with amortized kd-tree nearest-neighbor search.
 
@@ -309,14 +285,15 @@ def _fit_ridge(actions: np.ndarray, effects: np.ndarray, ridge: float) -> np.nda
 class EvolvingMemory:
     """(context, action, effect-change) exemplars keyed by context."""
 
+    # Ridge term of every local fit.
+    ridge = 1e-6
+
     def __init__(
         self,
         context_dim: int,
         effect_dim: int = 2,
         neighbors: int = 12,
         support_radius: float = 0.5,
-        min_support: int | None = None,
-        ridge: float = 1e-6,
     ):
         self.context_dim = int(context_dim)
         self.effect_dim = int(effect_dim)
@@ -324,8 +301,7 @@ class EvolvingMemory:
         self.support_radius = float(support_radius)
         # Below 2x the effect dimension a local fit is not trusted and the
         # caller is told to go collect data instead.
-        self.min_support = int(min_support) if min_support is not None else 2 * self.effect_dim
-        self.ridge = float(ridge)
+        self.min_support = 2 * self.effect_dim
         self._index = NearestIndex(context_dim)
         self._actions = np.empty((256, context_dim), dtype=float)
         self._effects = np.empty((256, effect_dim), dtype=float)
@@ -348,8 +324,9 @@ class EvolvingMemory:
         self._actions[i] = action
         self._effects[i] = effect
 
-    def local_jacobian(self, context: np.ndarray) -> LocalLinearModel | None:
-        """Fit the local linear action->effect map around `context`.
+    def local_jacobian(self, context: np.ndarray) -> np.ndarray | None:
+        """Fit the local linear action->effect map (effect_dim x context_dim)
+        around `context`.
 
         Returns None when fewer than ``min_support`` exemplars lie within
         ``support_radius``, signalling that exploration is needed first.
@@ -360,12 +337,11 @@ class EvolvingMemory:
         keep = idx[dist <= self.support_radius]
         if keep.shape[0] < self.min_support:
             return None
-        jac = _fit_ridge(self._actions[keep], self._effects[keep], self.ridge)
-        return LocalLinearModel(jac, keep.shape[0])
+        return _fit_ridge(self._actions[keep], self._effects[keep], self.ridge)
 
     def local_pseudo_inverses(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pseudo-inverses of the local Jacobians around every row of
-        `contexts`, each bit-identical to ``local_jacobian(row).pseudo_inverse``.
+        `contexts`, each bit-identical to ``np.linalg.pinv(local_jacobian(row))``.
 
         Returns the (rows x context_dim x effect_dim) stack and a mask of the
         rows whose fit had enough support; the other rows stay zero.  Rows

@@ -95,33 +95,6 @@ class Region:
         return self.left is None
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    dim: int
-    value: float
-    quality: float
-    n_left: int
-    n_right: int
-
-
-@dataclass(frozen=True)
-class SplitEvent:
-    """Debug record of one split decision, kept only when logging is on."""
-
-    bounds: Box
-    chosen: SplitCandidate
-    candidates: tuple[SplitCandidate, ...]
-    positions: np.ndarray
-    gammas: np.ndarray
-
-
-def _candidates(dims, values, quality, n_left, n_right) -> list[SplitCandidate]:
-    return [
-        SplitCandidate(j, v, q, a, b)
-        for j, v, q, a, b in zip(dims.tolist(), values.tolist(), quality.tolist(), n_left.tolist(), n_right.tolist())
-    ]
-
-
 def _best_cut(quality: np.ndarray, balance: np.ndarray) -> int:
     """Index of the first cut that is largest by (quality, balance), the one
     ``max`` picks over the candidates with that key."""
@@ -143,6 +116,12 @@ class RegionTree:
     MODE_INTEREST = 1
     MODE_UNIFORM = 2
     MODE_LOW_COMPETENCE = 3
+    # A leaf this deep never splits.
+    max_depth = 20
+    # Mode 3 perturbs with this fraction of the leaf's diagonal as sigma.
+    near_sigma_fraction = 0.05
+    # Batches of random cuts drawn before the median fallback.
+    split_retries = 10
 
     def __init__(
         self,
@@ -152,10 +131,6 @@ class RegionTree:
         capacity: int = 50,
         split_candidates: int = 50,
         probabilities: tuple[float, float, float] = (0.7, 0.2, 0.1),
-        max_depth: int = 20,
-        near_sigma_fraction: float = 0.05,
-        split_retries: int = 10,
-        log_splits: bool = False,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -169,9 +144,6 @@ class RegionTree:
         self.capacity = int(capacity)
         self.split_candidates = int(split_candidates)
         self.probabilities = tuple(float(p) for p in probabilities)
-        self.max_depth = int(max_depth)
-        self.near_sigma_fraction = float(near_sigma_fraction)
-        self.split_retries = int(split_retries)
         self.root = Region(bounds)
         self._leaves: list[Region] = [self.root]
         # The leaves' interests, in step with `_leaves`: slot i holds leaf
@@ -180,7 +152,6 @@ class RegionTree:
         self._order = 0
         self.total_records = 0
         self.clipped_updates = 0
-        self.split_log: list[SplitEvent] | None = [] if log_splits else None
 
     # ------------------------------------------------------------------ update
 
@@ -228,43 +199,33 @@ class RegionTree:
             positions = np.array([r.position for r in leaf.records])
             gammas = np.array(leaf.gammas)
 
-        chosen: SplitCandidate | None = None
-        logged: list[SplitCandidate] = []
         for _ in range(self.split_retries):
             dims = self.rng.integers(0, dim, size=self.split_candidates)
             values = low[dims] + self.rng.random(self.split_candidates) * (high[dims] - low[dims])
             if degenerate:
                 continue
             quality, n_left, n_right = self._cut_scores(dims, values, positions, gammas)
-            if self.split_log is not None:
-                logged.extend(_candidates(dims, values, quality, n_left, n_right))
             best = _best_cut(quality, n_left * n_right)
             if n_left[best] and n_right[best]:
-                chosen = SplitCandidate(
-                    int(dims[best]), float(values[best]), float(quality[best]), int(n_left[best]), int(n_right[best])
-                )
+                j, v = int(dims[best]), float(values[best])
                 break
-        if chosen is None:
+        else:
             if degenerate:
                 return
             # Every random cut left a side empty: fall back to the median of
             # the widest dimension, or give up on fully degenerate data.
             j = int(np.argmax(high - low))
             v = float(np.median(positions[:, j]))
-            chosen = self._score_candidates(np.array([j]), np.array([v]), positions, gammas)[0]
-            if not (chosen.n_left and chosen.n_right):
-                return
-        if self.split_log is not None:
-            self.split_log.append(SplitEvent(leaf.bounds, chosen, tuple(logged), positions, gammas))
+        goes_left = positions[:, j] < v
+        if goes_left.all() or not goes_left.any():
+            return
 
-        j, v = chosen.dim, chosen.value
         left_high = high.copy()
         left_high[j] = v
         right_low = low.copy()
         right_low[j] = v
         left = Region(Box(low, left_high), depth=leaf.depth + 1, slot=leaf.slot)
         right = Region(Box(right_low, high), depth=leaf.depth + 1, slot=len(self._leaves))
-        goes_left = positions[:, j] < v
         for record, is_left in zip(leaf.records, goes_left.tolist()):
             side = left if is_left else right
             side.records.append(record)
@@ -303,12 +264,6 @@ class RegionTree:
         gap = np.abs(left_interest - right_interest)
         quality = np.where((n_left > 0) & (n_right > 0), n_left * n_right * gap, 0.0)
         return quality, n_left, n_right
-
-    def _score_candidates(
-        self, dims: np.ndarray, values: np.ndarray, positions: np.ndarray, gammas: np.ndarray
-    ) -> list[SplitCandidate]:
-        """The cuts of `_cut_scores` as candidates, in order."""
-        return _candidates(dims, values, *self._cut_scores(dims, values, positions, gammas))
 
     # ------------------------------------------------------------------ selection
 

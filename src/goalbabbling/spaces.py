@@ -35,10 +35,6 @@ class Box:
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.extent))
 
-    @property
-    def center(self) -> np.ndarray:
-        return (self.low + self.high) / 2.0
-
     def contains(self, point: np.ndarray) -> bool:
         return bool(((point >= self.low) & (point <= self.high)).all())
 

@@ -293,9 +293,11 @@ def test_output_root_env_var(demo_config, tmp_path, monkeypatch):
         (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-count", "-1"], "--db-count"),
         (["compare", "--configs", "{demo}", "--seeds", "1"], "--configs"),
         (["compare", "--configs", "{demo}", "{demo}", "--seeds", "1"], "--configs"),
+        (["run", "--config", "{demo}", "--budget", "100", "--checkpoints", "50,5000"], "--checkpoints"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--checkpoints", "400,401"], "--checkpoints"),
     ],
     ids=["checkpoints-text", "checkpoints-negative", "seeds-text", "count-negative", "db-count-negative",
-         "one-config", "duplicate-strategy"],
+         "one-config", "duplicate-strategy", "run-checkpoint-past-budget", "compare-checkpoint-past-budget"],
 )
 def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys, args, flag):
     other = tmp_path / "random.json"
@@ -310,3 +312,33 @@ def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and flag in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "db.csv").exists()
+
+
+def test_compare_checkpoints_end_at_the_smallest_budget(demo_config, tmp_path, capsys):
+    other = tmp_path / "random.json"
+    data = json.loads(demo_config.read_text())
+    data["strategy"], data["budget"] = "sagg_random", 300
+    other.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["compare", "--configs", str(demo_config), str(other), "--seeds", "1", "--db-count", "5", "--out", str(out)]
+    assert main(argv + ["--checkpoints", "200,350"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--checkpoints" in err and "300" in err
+    assert not out.exists()
+    # By default the schedule ends at the smallest budget, which every run reaches.
+    assert main(argv) == 0
+    rows = (out / "curves.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[:3] for row in rows) == [["sagg_random", "1", "300"], ["sagg_riac", "1", "300"]]
+
+
+def test_compare_rejects_configs_of_different_worlds(demo_config, tmp_path, capsys):
+    data = json.loads(bundled_config_path("map8_mid").read_text())
+    data["strategy"] = "actuator_random"
+    other = tmp_path / "map.json"
+    other.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["compare", "--configs", str(demo_config), str(other), "--seeds", "1", "--budget", "50", "--db-count", "5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "differ in environment" in err
+    assert not out.exists()

@@ -101,7 +101,7 @@ def test_arm_env_unscaled_by_default():
 def test_round_trip_to_json(tmp_path):
     cfg = ExperimentConfig(strategy="sagg_random", budget=42, seed=3)
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     again = load_config(path)
     assert again == cfg
 

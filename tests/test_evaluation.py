@@ -318,6 +318,21 @@ def test_compare_outputs_are_job_count_invariant():
     ]
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (dict(environment=EnvironmentSpec(type="arm", n_dof=3, rest_angle=0.35)), "environment"),
+        (dict(task_low=(0.0, -50.0)), "task_low"),
+        (dict(task_high=(50.0, 60.0)), "task_high"),
+    ],
+)
+def test_compare_rejects_configs_of_different_worlds(change, field):
+    base = arm_config(budget=100)
+    other = dataclasses.replace(base, strategy="sagg_random", **change)
+    with pytest.raises(ValueError, match=f"differ in {field}"):
+        compare_strategies([base, other], [1], [100], np.zeros((1, 2)))
+
+
 def test_compare_rejects_single_config():
     base = arm_config()
     with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def test_strategy_goal_uniform_mean_near_center():
     config = arm_config(strategy="sagg_random")
     rng = RngStreams(5).goals
     draws = np.array([strategy_goal(config, None, rng)[0] for _ in range(100_000)])
-    center = config.task_box.center
+    center = (config.task_box.low + config.task_box.high) / 2.0
     span = config.task_box.extent
     assert np.all(np.abs(draws.mean(axis=0) - center) < 0.01 * span)
 

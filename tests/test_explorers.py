@@ -370,12 +370,12 @@ def reference_reach_evolving(
         return vector * (bound / norm) if norm > bound else vector
 
     while steps < cap:
-        model = memory.local_jacobian(alpha)
-        explore = model is None
-        if model is not None:
+        jacobian = memory.local_jacobian(alpha)
+        explore = jacobian is None
+        if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = advance(clip_norm(model.pseudo_inverse @ desired, world.max_action_norm))
+            result = advance(clip_norm(np.linalg.pinv(jacobian) @ desired, world.max_action_norm))
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
                 return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
@@ -387,7 +387,7 @@ def reference_reach_evolving(
                 if stalled_phases >= budget.blocking_window:
                     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                     return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
-            if model is None and not budget.explore_actions:
+            if jacobian is None and not budget.explore_actions:
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                 return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
             for row in range(budget.explore_actions):

@@ -9,6 +9,7 @@ alters outputs on purpose re-records them and says why.
 """
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -55,7 +56,7 @@ def _digest(out) -> str:
 def test_run_outputs_match_golden_digest(name, strategy, tmp_path):
     config = dataclasses.replace(load_config(bundled_config_path(name), seed=7, budget=BUDGET), strategy=strategy)
     path = tmp_path / "config.json"
-    path.write_text(config.to_json())
+    path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True))
     db = tmp_path / "db.csv"
     assert main(["testdb", "--config", str(path), "--count", "20", "--seed", "999983", "--out", str(db)]) == 0
     out = tmp_path / "run"

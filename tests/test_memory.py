@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalbabbling import memory as memory_module
-from goalbabbling.memory import (
-    EmptyMemoryError,
-    EvolvingMemory,
-    FixedMemory,
-    LocalLinearModel,
-    NearestIndex,
-)
+from goalbabbling.memory import EmptyMemoryError, EvolvingMemory, FixedMemory, NearestIndex
 
 
 def linear_scan(points, key, k):
@@ -323,9 +317,9 @@ def test_local_pseudo_inverses_equal_single_fits_bitwise():
     pinvs, fitted = memory.local_pseudo_inverses(contexts)
     assert 0 < fitted.sum() < len(contexts)
     for row, context in enumerate(contexts):
-        model = memory.local_jacobian(context)
-        assert fitted[row] == (model is not None)
-        expected = model.pseudo_inverse if model is not None else np.zeros((3, 2))
+        jacobian = memory.local_jacobian(context)
+        assert fitted[row] == (jacobian is not None)
+        expected = np.linalg.pinv(jacobian) if jacobian is not None else np.zeros((3, 2))
         assert np.array_equal(pinvs[row], expected)
 
 
@@ -358,13 +352,19 @@ def _fill_linear(memory, jacobian, contexts, actions):
 def test_local_jacobian_recovers_known_linear_map():
     rng = np.random.default_rng(2)
     true_j = rng.normal(size=(2, 4))
-    memory = EvolvingMemory(4, 2, neighbors=32, support_radius=10.0, min_support=4)
+    memory = EvolvingMemory(4, 2, neighbors=32, support_radius=10.0)
+    assert memory.min_support == 4
     contexts = rng.normal(scale=0.05, size=(32, 4))
     actions = rng.uniform(-1.0, 1.0, size=(32, 4))
     _fill_linear(memory, true_j, contexts, actions)
-    model = memory.local_jacobian(np.zeros(4))
-    assert model.support_size == 32
-    assert np.linalg.norm(model.jacobian - true_j) < 1e-6
+    jacobian = memory.local_jacobian(np.zeros(4))
+    assert jacobian.shape == (2, 4)
+    assert np.linalg.norm(jacobian - true_j) < 1e-6
+    # All 32 exemplars support the fit: it needs no more than 32 and fails at 33.
+    memory.min_support = 32
+    assert np.array_equal(memory.local_jacobian(np.zeros(4)), jacobian)
+    memory.min_support = 33
+    assert memory.local_jacobian(np.zeros(4)) is None
 
 
 def test_pseudo_inverse_of_identity_is_identity():
@@ -379,28 +379,21 @@ def test_pseudo_inverse_closed_form_row_vector():
     np.testing.assert_allclose(np.linalg.pinv(jac), [[0.2], [0.4]], atol=1e-12)
 
 
-def test_local_model_computes_the_missing_side_on_first_read():
-    rng = np.random.default_rng(9)
-    jac = rng.normal(size=(2, 5))
-    model = LocalLinearModel(jac, 7)
-    assert model.jacobian is jac and model.support_size == 7
-    assert model._pseudo_inverse is None
-    np.testing.assert_array_equal(model.pseudo_inverse, np.linalg.pinv(jac))
-    assert model.pseudo_inverse is model.pseudo_inverse
-
-
 def test_memory_models_pair_each_side_with_its_pseudo_inverse():
     rng = np.random.default_rng(10)
     evolving = EvolvingMemory(3, 2, neighbors=10, support_radius=10.0)
     for _ in range(20):
         context, action, effect = rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
         evolving.insert(context, action, effect)
-    model = evolving.local_jacobian(np.zeros(3))
-    np.testing.assert_array_equal(model.pseudo_inverse, np.linalg.pinv(model.jacobian))
+    jacobian = evolving.local_jacobian(np.zeros(3))
+    pinvs, fitted = evolving.local_pseudo_inverses(np.zeros((1, 3)))
+    assert fitted.tolist() == [True]
+    np.testing.assert_array_equal(pinvs[0], np.linalg.pinv(jacobian))
 
 
 def test_local_jacobian_requires_support_within_radius():
-    memory = EvolvingMemory(2, 2, neighbors=8, support_radius=0.5, min_support=4)
+    memory = EvolvingMemory(2, 2, neighbors=8, support_radius=0.5)
+    assert memory.min_support == 4
     rng = np.random.default_rng(1)
     # Entries exist, but all far from the query point.
     for _ in range(10):
@@ -418,7 +411,7 @@ def test_local_jacobian_permutation_invariant():
         memory = EvolvingMemory(3, 2, neighbors=12, support_radius=10.0)
         _fill_linear(memory, true_j, contexts[order], actions[order])
         models.append(memory.local_jacobian(np.zeros(3)))
-    np.testing.assert_allclose(models[0].jacobian, models[1].jacobian, atol=1e-9)
+    np.testing.assert_allclose(models[0], models[1], atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,13 +422,14 @@ def test_local_jacobian_permutation_invariant():
 )
 def test_moore_penrose_identities_on_produced_models(rows, cols, seed):
     rng = np.random.default_rng(seed)
-    memory = EvolvingMemory(cols, rows, neighbors=4 * max(rows, cols), support_radius=10.0, min_support=1)
+    memory = EvolvingMemory(cols, rows, neighbors=4 * max(rows, cols), support_radius=10.0)
+    memory.min_support = 1
     true_j = rng.normal(size=(rows, cols))
     for _ in range(4 * max(rows, cols)):
         action = rng.normal(size=cols)
         memory.insert(rng.normal(scale=0.05, size=cols), action, true_j @ action)
-    model = memory.local_jacobian(np.zeros(cols))
-    jac, pinv = model.jacobian, model.pseudo_inverse
+    jac = memory.local_jacobian(np.zeros(cols))
+    pinv = np.linalg.pinv(jac)
     assert np.linalg.norm(jac @ pinv @ jac - jac) < 1e-8
     assert np.linalg.norm(pinv @ jac @ pinv - pinv) < 1e-8
 

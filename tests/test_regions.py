@@ -145,6 +145,47 @@ def test_order_index_strictly_increasing_within_leaf():
 
 # --------------------------------------------------------------------- split
 
+class _RecordingTree(RegionTree):
+    """Keeps, for every split, the leaf's bounds, positions and gammas, each
+    batch of cuts scored (dims, values, quality, n_left, n_right) and the
+    chosen cut, read from the split leaf."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.splits = []
+
+    def _split(self, leaf):
+        self._batches = []
+        positions = np.array([r.position for r in leaf.records])
+        gammas = np.array(leaf.gammas)
+        super()._split(leaf)
+        if not leaf.is_leaf:
+            chosen = (leaf.split_dim, leaf.split_value)
+            self.splits.append(
+                dict(bounds=leaf.bounds, positions=positions, gammas=gammas, batches=self._batches, chosen=chosen)
+            )
+
+    def _cut_scores(self, dims, values, positions, gammas):
+        scores = super()._cut_scores(dims, values, positions, gammas)
+        self._batches.append((dims, values) + scores)
+        return scores
+
+
+def make_recording_tree(seed=0, **kwargs):
+    defaults = dict(window=6, capacity=10, split_candidates=25)
+    defaults.update(kwargs)
+    return _RecordingTree(Box(np.zeros(2), np.ones(2)), rng=np.random.default_rng(seed), **defaults)
+
+
+def _cuts(batches):
+    """Every scored cut as (dim, value, quality, n_left, n_right), in order."""
+    return [
+        cut
+        for dims, values, quality, n_left, n_right in batches
+        for cut in zip(dims.tolist(), values.tolist(), quality.tolist(), n_left.tolist(), n_right.tolist())
+    ]
+
+
 def qual_oracle(positions, gammas, dim, value, window):
     mask = positions[:, dim] < value
     n_left, n_right = int(mask.sum()), int((~mask).sum())
@@ -159,7 +200,7 @@ def test_split_separates_progress_boundary():
     # Left half: competence rising over time (failures then successes);
     # right half: flat failure.  The exhaustive grid oracle puts the best
     # cut at the x boundary, and the chosen cut must match its quality.
-    tree = make_tree(capacity=40, window=24, split_candidates=100, seed=5, log_splits=True)
+    tree = make_recording_tree(capacity=40, window=24, split_candidates=100, seed=5)
     rng = np.random.default_rng(5)
     left_count = 0
     for _ in range(41):
@@ -171,42 +212,44 @@ def test_split_separates_progress_boundary():
             gamma = -1.0
         tree.update(np.array([x, rng.random()]), gamma, RecordOrigin.SELF_GENERATED)
     assert not tree.root.is_leaf
-    event = tree.split_log[0]
+    split = tree.splits[0]
+    assert split["chosen"] == (tree.root.split_dim, tree.root.split_value)
     grid_best = max(
-        qual_oracle(event.positions, event.gammas, d, v, 24)
+        qual_oracle(split["positions"], split["gammas"], d, v, 24)
         for d in (0, 1)
         for v in np.linspace(0.001, 0.999, 999)
     )
-    chosen_qual = qual_oracle(event.positions, event.gammas, event.chosen.dim, event.chosen.value, 24)
-    assert event.chosen.dim == 0
-    assert 0.4 < event.chosen.value < 0.65
+    dim, value = split["chosen"]
+    chosen_qual = qual_oracle(split["positions"], split["gammas"], dim, value, 24)
+    assert dim == 0
+    assert 0.4 < value < 0.65
     assert chosen_qual >= 0.95 * grid_best
 
 
 def test_chosen_split_beats_every_logged_candidate():
-    tree = make_tree(capacity=10, seed=6, log_splits=True)
+    tree = make_recording_tree(capacity=10, seed=6)
     rng = np.random.default_rng(6)
     for _ in range(400):
         tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
-    assert tree.split_log
-    for event in tree.split_log:
-        replayed = [
-            qual_oracle(event.positions, event.gammas, c.dim, c.value, tree.window)
-            for c in event.candidates
-        ]
-        chosen = qual_oracle(event.positions, event.gammas, event.chosen.dim, event.chosen.value, tree.window)
+    assert tree.splits
+    for split in tree.splits:
+        positions, gammas = split["positions"], split["gammas"]
+        replayed = [qual_oracle(positions, gammas, d, v, tree.window) for d, v, *_ in _cuts(split["batches"])]
+        chosen = qual_oracle(positions, gammas, *split["chosen"], tree.window)
         assert chosen >= max(replayed) - 1e-12
 
 
 def test_identical_gammas_tie_broken_by_balance():
-    tree = make_tree(capacity=10, split_candidates=50, seed=7, log_splits=True)
+    tree = make_recording_tree(capacity=10, split_candidates=50, seed=7)
     rng = np.random.default_rng(7)
     for _ in range(11):
         tree.update(rng.random(2), -0.5, RecordOrigin.SELF_GENERATED)
-    event = tree.split_log[0]
-    assert event.chosen.quality == 0.0
-    best_product = max(c.n_left * c.n_right for c in event.candidates)
-    assert event.chosen.n_left * event.chosen.n_right == best_product
+    split = tree.splits[0]
+    dim, value = split["chosen"]
+    assert qual_oracle(split["positions"], split["gammas"], dim, value, tree.window) == 0.0
+    goes_left = split["positions"][:, dim] < value
+    best_product = max(n_left * n_right for *_, n_left, n_right in _cuts(split["batches"]))
+    assert int(goes_left.sum()) * int((~goes_left).sum()) == best_product
 
 
 @pytest.mark.parametrize("count", [2, 7, 30, 61])
@@ -219,12 +262,12 @@ def test_candidate_scores_equal_the_one_cut_formula_bitwise(count):
     gammas[::5] = -1.0
     dims = rng.integers(0, 2, size=80)
     values = rng.integers(0, 6, size=80) / 4.0 - rng.integers(0, 2, size=80) / 8.0
-    cuts = tree._score_candidates(dims, values, positions, gammas)
-    assert [(c.dim, c.value) for c in cuts] == list(zip(dims.tolist(), values.tolist()))
-    for cut in cuts:
-        mask = positions[:, cut.dim] < cut.value
-        assert (cut.n_left, cut.n_right) == (int(mask.sum()), int((~mask).sum()))
-        assert cut.quality == qual_oracle(positions, gammas, cut.dim, cut.value, tree.window)
+    quality, n_left, n_right = tree._cut_scores(dims, values, positions, gammas)
+    assert quality.shape == n_left.shape == n_right.shape == dims.shape
+    for dim, value, q, a, b in zip(dims.tolist(), values.tolist(), quality.tolist(), n_left.tolist(), n_right.tolist()):
+        mask = positions[:, dim] < value
+        assert (a, b) == (int(mask.sum()), int((~mask).sum()))
+        assert q == qual_oracle(positions, gammas, dim, value, tree.window)
 
 
 def test_empty_side_candidate_scores_zero():
@@ -234,7 +277,8 @@ def test_empty_side_candidate_scores_zero():
 
 
 def test_degenerate_identical_positions_do_not_split_forever():
-    tree = make_tree(capacity=3, split_retries=2)
+    tree = make_tree(capacity=3)
+    tree.split_retries = 2
     for _ in range(10):
         tree.update(np.array([0.5, 0.5]), -0.5, RecordOrigin.SELF_GENERATED)
     assert len(tree.leaves()) == 1  # no split possible, tree stays sound
@@ -351,13 +395,32 @@ def test_leaf_probabilities_form_a_distribution():
 
 
 def test_depth_cap_stops_splitting():
-    tree = make_tree(capacity=2, max_depth=2, seed=14)
+    tree = make_tree(capacity=2, seed=14)
+    tree.max_depth = 2
     rng = np.random.default_rng(14)
     for _ in range(200):
         tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
     for leaf in tree.leaves():
         assert leaf.depth <= 2
     assert tree.total_records == 200
+
+
+def test_leaf_at_the_class_depth_cap_stops_splitting():
+    tree = make_tree(capacity=2, seed=15)
+    assert tree.max_depth == RegionTree.max_depth == 20
+    tree.root.depth = RegionTree.max_depth
+    rng = np.random.default_rng(15)
+    state = tree.rng.bit_generator.state
+    for _ in range(50):
+        tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
+    assert tree.leaves() == [tree.root] and len(tree.root.records) == 50
+    assert tree.rng.bit_generator.state == state  # no split was even attempted
+    # One level shallower, the same stream splits it.
+    shallower = make_tree(capacity=2, seed=15)
+    shallower.root.depth = RegionTree.max_depth - 1
+    for point in [r.position for r in tree.root.records][:3]:
+        shallower.update(point, -0.5, RecordOrigin.SELF_GENERATED)
+    assert not shallower.root.is_leaf and {leaf.depth for leaf in shallower.leaves()} == {RegionTree.max_depth}
 
 
 # ------------------------------------------------- per-leaf gammas, cut pick, degenerate leaves
@@ -419,8 +482,9 @@ def _internal_nodes(node):
     return [node] + _internal_nodes(node.left) + _internal_nodes(node.right)
 
 
-def _max_pick(candidates):
-    return max(candidates, key=lambda c: (c.quality, c.n_left * c.n_right))
+def _max_pick(cuts):
+    """The cut ``max`` picks by (quality, balance): the first of the largest."""
+    return max(cuts, key=lambda c: (c[2], c[3] * c[4]))
 
 
 @pytest.mark.parametrize("count", [3, 11, 40, 97])
@@ -434,8 +498,7 @@ def test_best_cut_pick_equals_max_over_candidates(count):
         dims = rng.integers(0, 2, size=50)
         values = rng.integers(0, 5, size=50) / 4.0
         quality, n_left, n_right = tree._cut_scores(dims, values, positions, gammas)
-        candidates = tree._score_candidates(dims, values, positions, gammas)
-        first_max = max(range(len(candidates)), key=lambda i: (candidates[i].quality, candidates[i].n_left * candidates[i].n_right))
+        first_max = max(range(len(dims)), key=lambda i: (quality[i], n_left[i] * n_right[i]))
         assert _best_cut(quality, n_left * n_right) == first_max
     # Hand-made ties: on quality (0 for every cut) and on the balance product.
     quality = np.array([0.0, 0.5, 0.5, 0.25, 0.5])
@@ -446,23 +509,35 @@ def test_best_cut_pick_equals_max_over_candidates(count):
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_split_log_does_not_change_the_splits(seed):
-    trees = [make_tree(capacity=8, seed=seed, log_splits=flag) for flag in (False, True)]
-    points, gammas = _grid_stream(seed, 600, levels=8)
-    for tree in trees:
-        for point, gamma in zip(points, gammas):
-            tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
-    plain, logged = trees
-    assert plain.split_log is None and logged.split_log
-    assert plain.rng.bit_generator.state == logged.rng.bit_generator.state
-    for a, b in zip(plain.snapshot(), logged.snapshot(), strict=True):
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
-    for event in logged.split_log:
-        last = event.candidates[-logged.split_candidates :]
-        if any(c.n_left and c.n_right for c in last):
-            assert event.chosen == _max_pick(last)
-        else:  # the median fallback
-            assert len(event.candidates) == logged.split_retries * logged.split_candidates
+def test_recorded_splits_pick_the_last_batch_max_or_the_median(seed):
+    # The chosen cut is the max over the last batch of scored cuts, or,
+    # when every cut of every batch leaves a side empty, the median of the
+    # leaf's widest dimension; recording changes neither the splits nor the
+    # stream.  Points 1e-9 apart leave every random cut one side empty.
+    rng = np.random.default_rng(seed)
+    cluster = 0.5 + rng.integers(0, 2, size=(300, 2)) * 1e-9, -rng.integers(0, 3, size=300) / 2.0
+    picked = {"max": 0, "median": 0}
+    for points, gammas in (_grid_stream(seed, 600, levels=8), cluster):
+        trees = [make_tree(capacity=8, seed=seed), make_recording_tree(capacity=8, seed=seed)]
+        for tree in trees:
+            for point, gamma in zip(points, gammas):
+                tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+        plain, recorded = trees
+        assert plain.rng.bit_generator.state == recorded.rng.bit_generator.state
+        for a, b in zip(plain.snapshot(), recorded.snapshot(), strict=True):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
+        for split in recorded.splits:
+            last = _cuts(split["batches"][-1:])
+            if any(n_left and n_right for *_, n_left, n_right in last):
+                picked["max"] += 1
+                assert split["chosen"] == _max_pick(last)[:2]
+            else:
+                picked["median"] += 1
+                assert len(split["batches"]) == recorded.split_retries
+                assert not any(n_left and n_right for *_, n_left, n_right in _cuts(split["batches"]))
+                j = int(np.argmax(split["bounds"].extent))
+                assert split["chosen"] == (j, float(np.median(split["positions"][:, j])))
+    assert picked["max"] and picked["median"]
 
 
 class _ScoringEveryTree(RegionTree):
