@@ -36,7 +36,7 @@ from .explorers import (
 )
 from .kinematics import ArmGeometry, ArmWorld, StepResult, SynergyWorld, forward_kinematics
 from .memory import EmptyMemoryError, EvolvingMemory, FixedMemory
-from .regions import GoalRecord, RecordOrigin, Region, RegionTree, interest_of
+from .regions import RecordOrigin, Region, RegionTree, interest_of
 from .rng import RngStreams, stream
 from .spaces import Box
 

@@ -18,7 +18,7 @@ from .config import ConfigError, ExperimentConfig
 # `reach_evolving` stays importable from this module, where the benchmark's
 # tracer wraps it by name; evaluation itself reaches through the world adapter.
 from .explorers import ReachingBudget, euclidean, reach_evolving  # noqa: F401
-from .experiment import RunLog, competence_config, reaching_budget, run_experiment, world_adapter
+from .experiment import RunLog, check_checkpoints, competence_config, reaching_budget, run_experiment, world_adapter
 
 
 # Evaluation checkpoint schedule used when a caller does not pick one.
@@ -195,6 +195,7 @@ def compare_strategies(
         if any(getattr(c, name) != getattr(configs[0], name) for c in configs):
             given = "; ".join(f"{c.strategy} has {getattr(c, name)}" for c in configs)
             raise ConfigError(f"configs differ in {name}: {given}")
+    check_checkpoints(checkpoints, min(c.budget for c in configs))
     jobs = []
     for config in configs:
         for seed in seeds:

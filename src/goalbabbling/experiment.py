@@ -34,6 +34,7 @@ from .config import (
     ENV_ARM,
     SAGG_RANDOM,
     SAGG_RIAC,
+    ConfigError,
     ExperimentConfig,
 )
 from .explorers import (
@@ -100,6 +101,13 @@ class RunLog:
     resets: list[int] = field(default_factory=list)
     en_route_updates: int = 0
     final_memory_size: int = 0
+
+
+def check_checkpoints(checkpoints, budget: int) -> None:
+    """Reject a checkpoint past `budget`: no run of that budget reaches it."""
+    late = [c for c in checkpoints if c > budget]
+    if late:
+        raise ConfigError(f"checkpoint {late[0]} exceeds the budget of {budget}")
 
 
 class _Checkpoints:
@@ -179,6 +187,7 @@ def run_experiment(config: ExperimentConfig, checkpoints=(), test_goals=None) ->
 
 def run_with_memory(config: ExperimentConfig, checkpoints=(), test_goals=None):
     """As `run_experiment`, but also return the final sensorimotor memory."""
+    check_checkpoints(checkpoints, config.budget)
     streams = RngStreams(config.seed)
     adapter = world_adapter(config, config.build_world())
     log = RunLog(config=config.to_dict())
@@ -278,75 +287,31 @@ class ActuatorRiacPolicy:
     for the arm, episode parameters for the episodic world -- with
     forward-model prediction errors as the recorded values.  Points are
     sampled inside a leaf drawn with probability proportional to its
-    interest; when a current state is given, only leaves whose first
-    ``state_dim`` coordinates contain it are eligible.
+    interest; when a current state is given, only the leaves whose cut box
+    admits it on the first ``state_dim`` coordinates are eligible, taken in
+    depth-first order (`RegionTree.admitting`).
     """
 
     def __init__(self, bounds: Box, state_dim: int, window, capacity, split_candidates, rng):
         self.state_dim = int(state_dim)
-        self.tree = RegionTree(
-            bounds,
-            rng=rng,
-            window=window,
-            capacity=capacity,
-            split_candidates=split_candidates,
-        )
+        self.tree = RegionTree(bounds, rng, window=window, capacity=capacity, split_candidates=split_candidates)
         self.rng = rng
-        # Every leaf in depth-first (left-to-right) order, with its interest
-        # and, one column per leaf, the half-open box [low, high) of states
-        # that the splits above it admit (the outer bounds of the space admit
-        # every state).  Only `observe` changes the tree, and it keeps these
-        # in step; with no state dimensions nothing reads them, and they stay
-        # as built.
-        self._ordered = [self.tree.root]
-        self._interests = np.array([self.tree.root.interest])
-        self._state_low = np.full((self.state_dim, 1), -np.inf)
-        self._state_high = np.full((self.state_dim, 1), np.inf)
-
-    def _admitted(self, state: np.ndarray) -> np.ndarray:
-        """Positions in depth-first order of the leaves a descent reaches
-        when it follows `state` at state-space splits and takes both sides
-        of the other splits."""
-        state = state[:, None]
-        admits = (self._state_low <= state) & (state < self._state_high)
-        return np.flatnonzero(np.logical_and.reduce(admits, axis=0))
 
     def choose_point(self, state: np.ndarray | None = None) -> np.ndarray:
         """Sample an input-space point; `state` constrains the leading dims."""
-        if state is None:
-            # The tree keeps its leaves' interests in step with its leaf list.
-            leaves = self.tree._leaves
-            interests = self.tree._interests[: len(leaves)]
-        else:
-            admitted = self._admitted(state)
-            interests = self._interests[admitted]
+        tree = self.tree
+        slots = np.arange(len(tree._leaves)) if state is None else tree.admitting(state[: self.state_dim])
+        interests = tree._interests[slots]
         weights = interests - interests.min()
         total = weights.sum()
         if total <= 0.0:
             pick = self.rng.integers(len(interests))
         else:
             pick = weighted_index(self.rng, weights / total)
-        leaf = leaves[pick] if state is None else self._ordered[admitted[pick]]
-        return leaf.bounds.sample(self.rng)
+        return tree._leaves[slots[pick]].bounds.sample(self.rng)
 
     def observe(self, point: np.ndarray, error: float) -> None:
-        leaf = self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
-        if not self.state_dim:
-            return  # `choose_point` reads the tree's own leaves and interests
-        i = self._ordered.index(leaf)
-        if leaf.is_leaf:
-            self._interests[i] = leaf.interest
-            return
-        # The leaf split: its children take its place, left first.
-        low, high = self._state_low[:, i], self._state_high[:, i]
-        left_high, right_low = high.copy(), low.copy()
-        if leaf.split_dim < self.state_dim:
-            left_high[leaf.split_dim] = right_low[leaf.split_dim] = leaf.split_value
-        self._ordered[i : i + 1] = [leaf.left, leaf.right]
-        self._interests = np.insert(self._interests, i + 1, leaf.right.interest)
-        self._interests[i] = leaf.left.interest
-        self._state_low = np.insert(self._state_low, i + 1, right_low, axis=1)
-        self._state_high = np.insert(self._state_high, i, left_high, axis=1)
+        self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
 
 
 # ---------------------------------------------------------------------- worlds

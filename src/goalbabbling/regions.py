@@ -9,11 +9,17 @@ falling histories score high and attract goal sampling.
 Splits are chosen among randomly drawn axis-aligned cuts to maximize
 ``card(left) * card(right) * |interest(left) - interest(right)|``, which
 separates areas of differing learnability as sharply as possible.
+
+The tree owns its leaves' data.  A leaf keeps its records as columns, the
+first ``count`` rows of a positions and a gammas array.  Per leaf slot the
+tree keeps the interest, a depth-first order key and the cut box: the
+half-open box its ancestors' cuts admit, unbounded where no cut bounds it.
+Records carry no tags; the tree counts them by origin.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +31,6 @@ class RecordOrigin(enum.Enum):
     SELF_GENERATED = "self_generated"
     SUBGOAL = "subgoal"
     EN_ROUTE = "en_route"
-
-
-@dataclass(frozen=True, slots=True)
-class GoalRecord:
-    """One scored outcome inside a region.
-
-    ``gamma`` is a clipped competence in [-1, 0] for task-space trees; an
-    actuator-space tree stores its prediction errors here instead.
-    """
-
-    position: np.ndarray
-    gamma: float
-    order_index: int
-    origin: RecordOrigin
 
 
 def interest_of(gammas, window: int) -> float:
@@ -72,13 +64,21 @@ def _interests_of_subsets(members: np.ndarray, gammas: np.ndarray, window: int) 
     return np.abs(older_sum - newer_sum) / window
 
 
+def _grown(array: np.ndarray, axis: int = 0) -> np.ndarray:
+    """`array` twice as long along `axis`; the new part is unset."""
+    return np.concatenate([array, np.empty_like(array)], axis=axis)
+
+
 @dataclass(eq=False)
 class Region:
     bounds: Box
     depth: int = 0
-    records: list[GoalRecord] = field(default_factory=list)
-    # The records' gammas, in step with `records`.
-    gammas: list[float] = field(default_factory=list)
+    # The records, oldest first: rows [:count] of `positions` and `gammas`.
+    # ``gamma`` is a clipped competence in [-1, 0] for task-space trees; an
+    # actuator-space tree stores its prediction errors there instead.
+    positions: np.ndarray | None = None
+    gammas: np.ndarray | None = None
+    count: int = 0
     # The position every record shares, as floats; None when they differ
     # or there are none.  While it is set, no cut can split the leaf.
     shared_position: list[float] | None = None
@@ -89,6 +89,10 @@ class Region:
     split_value: float = 0.0
     left: "Region | None" = None
     right: "Region | None" = None
+
+    def __post_init__(self):
+        if self.positions is None:
+            self.positions, self.gammas = np.empty((8, self.bounds.dim)), np.empty(8)
 
     @property
     def is_leaf(self) -> bool:
@@ -146,11 +150,15 @@ class RegionTree:
         self.probabilities = tuple(float(p) for p in probabilities)
         self.root = Region(bounds)
         self._leaves: list[Region] = [self.root]
-        # The leaves' interests, in step with `_leaves`: slot i holds leaf
-        # i's; the array grows by doubling and its tail is unused.
+        # Per slot, in step with `_leaves` (entry or column i is leaf i's;
+        # the arrays grow by doubling and their tails are unused): the
+        # interest; the depth-first order key, which sorts the leaves left
+        # to right; and the cut box [low, high) that the cuts above it admit.
         self._interests = np.zeros(64)
-        self._order = 0
-        self.total_records = 0
+        self._keys = np.zeros(64, dtype=np.int64)
+        self._cut_low = np.full((bounds.dim, 64), -np.inf)
+        self._cut_high = np.full((bounds.dim, 64), np.inf)
+        self.records_by_origin = dict.fromkeys(RecordOrigin, 0)
         self.clipped_updates = 0
 
     # ------------------------------------------------------------------ update
@@ -168,23 +176,26 @@ class RegionTree:
         if not self.bounds.contains(point):
             point = self.bounds.clip(point)
             self.clipped_updates += 1
-        else:
-            point = point.copy()
         coords = point.tolist()
         leaf = self.locate(coords)
-        gamma = float(gamma)
-        if not leaf.records:
+        if not leaf.count:
             leaf.shared_position = coords
         elif leaf.shared_position is not None and leaf.shared_position != coords:
             leaf.shared_position = None
-        leaf.records.append(GoalRecord(point, gamma, self._order, origin))
-        leaf.gammas.append(gamma)
-        self._order += 1
-        self.total_records += 1
-        leaf.interest = self._interests[leaf.slot] = interest_of(leaf.gammas[-self.window :], self.window)
-        if len(leaf.records) > self.capacity and leaf.depth < self.max_depth:
+        if leaf.count == leaf.gammas.shape[0]:
+            leaf.positions, leaf.gammas = _grown(leaf.positions), _grown(leaf.gammas)
+        leaf.positions[leaf.count] = point
+        leaf.gammas[leaf.count] = gamma
+        leaf.count += 1
+        self.records_by_origin[origin] += 1
+        leaf.interest = self._interests[leaf.slot] = self._interest(leaf)
+        if leaf.count > self.capacity and leaf.depth < self.max_depth:
             self._split(leaf)
         return leaf
+
+    def _interest(self, leaf: Region) -> float:
+        """`interest_of` the leaf's last `window` gammas, as Python floats."""
+        return interest_of(leaf.gammas[max(0, leaf.count - self.window) : leaf.count].tolist(), self.window)
 
     # ------------------------------------------------------------------ split
 
@@ -195,9 +206,7 @@ class RegionTree:
         # non-empty, so the cuts are drawn (keeping the stream in step) but
         # not scored.
         degenerate = leaf.shared_position is not None
-        if not degenerate:
-            positions = np.array([r.position for r in leaf.records])
-            gammas = np.array(leaf.gammas)
+        positions, gammas = leaf.positions[: leaf.count], leaf.gammas[: leaf.count]
 
         for _ in range(self.split_retries):
             dims = self.rng.integers(0, dim, size=self.split_candidates)
@@ -224,29 +233,36 @@ class RegionTree:
         left_high[j] = v
         right_low = low.copy()
         right_low[j] = v
-        left = Region(Box(low, left_high), depth=leaf.depth + 1, slot=leaf.slot)
-        right = Region(Box(right_low, high), depth=leaf.depth + 1, slot=len(self._leaves))
-        for record, is_left in zip(leaf.records, goes_left.tolist()):
-            side = left if is_left else right
-            side.records.append(record)
-            side.gammas.append(record.gamma)
-        for side, at in ((left, positions[goes_left]), (right, positions[~goes_left])):
-            if (at == at[0]).all():
-                side.shared_position = at[0].tolist()
-            side.interest = interest_of(side.gammas[-self.window :], self.window)
+        left = self._child(leaf, Box(low, left_high), goes_left, leaf.slot)
+        right = self._child(leaf, Box(right_low, high), ~goes_left, len(self._leaves))
 
         leaf.split_dim, leaf.split_value = j, v
         leaf.left, leaf.right = left, right
-        leaf.records = []
-        leaf.gammas = []
+        leaf.positions, leaf.gammas, leaf.count = np.empty((0, dim)), np.empty(0), 0
         leaf.shared_position = None
         leaf.interest = 0.0
         if right.slot == self._interests.shape[0]:
-            self._interests = np.concatenate([self._interests, np.zeros_like(self._interests)])
+            self._interests, self._keys = _grown(self._interests), _grown(self._keys)
+            self._cut_low, self._cut_high = _grown(self._cut_low, axis=1), _grown(self._cut_high, axis=1)
         self._leaves[left.slot] = left
         self._leaves.append(right)
         self._interests[left.slot] = left.interest
         self._interests[right.slot] = right.interest
+        # The left child keeps its parent's key and cut box; the right one
+        # sorts after every leaf below the left, and each side is cut at v.
+        self._keys[right.slot] = self._keys[left.slot] + (1 << (self.max_depth - leaf.depth - 1))
+        for cut in (self._cut_low, self._cut_high):
+            cut[:, right.slot] = cut[:, left.slot]
+        self._cut_high[j, left.slot] = self._cut_low[j, right.slot] = v
+
+    def _child(self, leaf: Region, box: Box, mask: np.ndarray, slot: int) -> Region:
+        """The child of `leaf` in `box`, holding the records that `mask` picks."""
+        at = leaf.positions[: leaf.count][mask]
+        child = Region(box, leaf.depth + 1, at, leaf.gammas[: leaf.count][mask], at.shape[0], slot=slot)
+        if (at == at[0]).all():
+            child.shared_position = at[0].tolist()
+        child.interest = self._interest(child)
+        return child
 
     def _cut_scores(
         self, dims: np.ndarray, values: np.ndarray, positions: np.ndarray, gammas: np.ndarray
@@ -269,6 +285,17 @@ class RegionTree:
 
     def leaves(self) -> list[Region]:
         return list(self._leaves)
+
+    def admitting(self, point) -> np.ndarray:
+        """Slots, in depth-first (left-to-right) order, of the leaves whose
+        cut box admits `point` on its first ``len(point)`` coordinates: the
+        leaves a descent reaches when it follows `point` at cuts on those
+        coordinates and takes both sides of every other cut."""
+        n, k = len(self._leaves), len(point)
+        point = np.asarray(point, dtype=float)[:, None]
+        admits = (self._cut_low[:k, :n] <= point) & (point < self._cut_high[:k, :n])
+        slots = np.flatnonzero(np.logical_and.reduce(admits, axis=0))
+        return slots[np.argsort(self._keys[slots])]
 
     def leaf_probabilities(self) -> np.ndarray:
         """Selection probabilities: interest above the minimum, normalized.
@@ -296,13 +323,14 @@ class RegionTree:
         if mode == self.MODE_UNIFORM:
             return self.bounds.sample(rng), mode
         leaf = self._leaves[weighted_index(rng, self.leaf_probabilities())]
-        if mode == self.MODE_INTEREST or not leaf.records:
+        if mode == self.MODE_INTEREST or not leaf.count:
             return leaf.bounds.sample(rng), mode
-        # Mode 3: perturb around the worst outcome in the leaf's window.
-        tail = leaf.records[-self.window :]
-        worst = min(tail, key=lambda r: r.gamma)
+        # Mode 3: perturb around the worst (first lowest) outcome in the
+        # leaf's window.
+        start = max(0, leaf.count - self.window)
+        worst = start + int(np.argmin(leaf.gammas[start : leaf.count]))
         sigma = self.near_sigma_fraction * leaf.bounds.diagonal
-        point = worst.position + rng.normal(0.0, sigma, size=self.bounds.dim)
+        point = leaf.positions[worst] + rng.normal(0.0, sigma, size=self.bounds.dim)
         return leaf.bounds.clip(point), mode
 
     # ------------------------------------------------------------------ export
@@ -310,6 +338,6 @@ class RegionTree:
     def snapshot(self) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
         """(low, high, interest, record count) for every leaf."""
         return [
-            (leaf.bounds.low.copy(), leaf.bounds.high.copy(), leaf.interest, len(leaf.records))
+            (leaf.bounds.low.copy(), leaf.bounds.high.copy(), leaf.interest, leaf.count)
             for leaf in self._leaves
         ]

@@ -101,7 +101,7 @@ def test_criterion_3_partition_invariant_at_scale():
         tree.update(point, float(gamma), RecordOrigin.SELF_GENERATED)
     elapsed = time.perf_counter() - start
     leaves = tree.leaves()
-    total = sum(len(leaf.records) for leaf in leaves)
+    total = sum(leaf.count for leaf in leaves)
     area = sum(float(np.prod(leaf.bounds.extent)) for leaf in leaves)
     area_ok = abs(area - 150.0 * 300.0) < 1e-6 * 150 * 300
     sample = np.column_stack([rng.uniform(0, 150, 500), rng.uniform(-150, 150, 500)])

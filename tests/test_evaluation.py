@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from goalbabbling.config import EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
+from goalbabbling.config import ConfigError, EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
 from goalbabbling.evaluation import (
     compare_strategies,
     evaluate,
@@ -331,6 +331,19 @@ def test_compare_rejects_configs_of_different_worlds(change, field):
     other = dataclasses.replace(base, strategy="sagg_random", **change)
     with pytest.raises(ValueError, match=f"differ in {field}"):
         compare_strategies([base, other], [1], [100], np.zeros((1, 2)))
+
+
+def test_compare_rejects_a_checkpoint_past_a_budget_before_any_run(monkeypatch):
+    import goalbabbling.evaluation as evaluation
+
+    def no_run(job):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(evaluation, "_one_run", no_run)
+    base = arm_config(budget=300)
+    other = dataclasses.replace(base, strategy="sagg_random", budget=200)
+    with pytest.raises(ConfigError, match="checkpoint 250 exceeds the budget of 200"):
+        compare_strategies([base, other], [1], [100, 250], np.zeros((1, 2)))
 
 
 def test_compare_rejects_single_config():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goalbabbling.competence import CompetenceConfig, clip_to_gamma, competence_normalized
-from goalbabbling.config import EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
+from goalbabbling.config import ConfigError, EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
 from goalbabbling.experiment import ActuatorRiacPolicy, run_experiment, run_with_memory, strategy_goal
 from goalbabbling.rng import RngStreams
 from goalbabbling.spaces import Box
@@ -214,6 +214,10 @@ def _walk_candidate_leaves(policy, state):
     return leaves[::-1]
 
 
+def _left_to_right(node):
+    return [node] if node.is_leaf else _left_to_right(node.left) + _left_to_right(node.right)
+
+
 def test_actuator_riac_leaf_filter_matches_tree_descent():
     low, high = np.array([-1.0, -1.0, -0.1, -0.1]), np.array([1.0, 1.0, 0.1, 0.1])
     policy = ActuatorRiacPolicy(
@@ -222,16 +226,20 @@ def test_actuator_riac_leaf_filter_matches_tree_descent():
     feed = np.random.default_rng(6)
     for _ in range(800):
         policy.observe(policy.tree.bounds.sample(feed), float(feed.random()))
-    assert len(policy._ordered) == len(policy.tree.leaves()) > 50
-    splits = [node for node in policy._ordered if node.depth > 0]
-    assert any(node.bounds.low[0] > -1.0 for node in splits)
-    np.testing.assert_array_equal(policy._interests, [leaf.interest for leaf in policy._ordered])
+    tree = policy.tree
+    leaves = tree.leaves()
+    # Every slot, in key order, is the recursive left-to-right walk.
+    ordered = [leaves[s] for s in tree.admitting(low[:0])]
+    assert len(ordered) == len(leaves) > 50
+    assert all(a is b for a, b in zip(ordered, _left_to_right(tree.root), strict=True))
+    assert any(node.bounds.low[0] > -1.0 for node in ordered if node.depth > 0)
+    np.testing.assert_array_equal(tree._interests[tree.admitting(low[:0])], [leaf.interest for leaf in ordered])
     # Random states, the outer corners (joint clamping reaches the upper
     # bound exactly) and states lying exactly on split values.
     states = list(feed.uniform(-1.0, 1.0, size=(200, 2))) + [low[:2], high[:2], np.array([1.0, -1.0])]
-    states += [leaf.bounds.low[:2] for leaf in policy._ordered[::7]]
+    states += [leaf.bounds.low[:2] for leaf in ordered[::7]]
     for state in states:
-        admitted = [policy._ordered[i] for i in policy._admitted(state)]
+        admitted = [leaves[s] for s in tree.admitting(state)]
         expected = _walk_candidate_leaves(policy, state)
         assert len(admitted) == len(expected) and all(a is b for a, b in zip(admitted, expected))
 
@@ -243,6 +251,18 @@ def test_checkpoint_snapshots_recorded():
     for snap in log.snapshots:
         area = sum(np.prod(high - low) for low, high, _, _ in snap.leaves)
         assert area == pytest.approx(np.prod(config.task_box.extent))
+
+
+@pytest.mark.parametrize("strategy", ["sagg_riac", "actuator_riac"])
+def test_checkpoint_past_the_budget_is_rejected_before_the_run(strategy, monkeypatch):
+    def no_world(self):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ExperimentConfig, "build_world", no_world)
+    with pytest.raises(ConfigError, match="checkpoint 401 exceeds the budget of 400"):
+        run_with_memory(arm_config(strategy=strategy, budget=400), checkpoints=[100, 401])
+    with pytest.raises(ConfigError, match="checkpoint 401"):
+        run_experiment(arm_config(strategy=strategy, budget=400), checkpoints=[401])
 
 
 def test_attempt_counters_are_monotone():

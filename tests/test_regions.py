@@ -69,7 +69,7 @@ def test_fresh_tree_single_update():
     tree.update(np.array([0.5, 0.5]), -1.0, RecordOrigin.SELF_GENERATED)
     assert len(tree.leaves()) == 1
     assert tree.root.interest == 0.0
-    assert tree.total_records == 1
+    assert tree.root.count == 1 and tree.records_by_origin[RecordOrigin.SELF_GENERATED] == 1
 
 
 def test_split_triggers_above_capacity():
@@ -89,7 +89,7 @@ def test_incremental_interest_equals_batch_after_any_sequence():
         point = rng.random(2)
         gamma = float(-rng.random())
         leaf = tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
-        assert leaf.interest == batch_interest_oracle([r.gamma for r in leaf.records], 4)
+        assert leaf.interest == batch_interest_oracle(leaf.gammas[: leaf.count], 4)
         gammas_by_leaf[id(leaf)] = leaf
 
 
@@ -97,8 +97,7 @@ def test_update_outside_bounds_is_clamped_and_flagged():
     tree = make_tree()
     leaf = tree.update(np.array([2.0, -1.0]), -0.5, RecordOrigin.EN_ROUTE)
     assert tree.clipped_updates == 1
-    record = leaf.records[-1]
-    assert tree.bounds.contains(record.position)
+    assert tree.bounds.contains(leaf.positions[leaf.count - 1])
 
 
 def test_record_conservation_and_partition_across_splits():
@@ -108,7 +107,7 @@ def test_record_conservation_and_partition_across_splits():
     for _ in range(n):
         tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
     leaves = tree.leaves()
-    assert sum(len(leaf.records) for leaf in leaves) == n == tree.total_records
+    assert sum(leaf.count for leaf in leaves) == n == sum(tree.records_by_origin.values())
     # Pairwise interior-disjoint boxes that tile the root exactly.
     area = sum(np.prod(leaf.bounds.extent) for leaf in leaves)
     assert area == pytest.approx(np.prod(tree.bounds.extent), rel=1e-12)
@@ -127,20 +126,22 @@ def test_every_record_sits_inside_its_leaf():
     for _ in range(300):
         tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
     for leaf in tree.leaves():
-        for record in leaf.records:
-            assert np.all(record.position >= leaf.bounds.low)
-            assert np.all(record.position <= leaf.bounds.high)
+        for position in leaf.positions[: leaf.count]:
+            assert np.all(position >= leaf.bounds.low)
+            assert np.all(position <= leaf.bounds.high)
 
 
-def test_order_index_strictly_increasing_within_leaf():
+def test_leaf_columns_keep_stream_order_within_leaf():
     tree = make_tree(capacity=5, seed=4)
     rng = np.random.default_rng(4)
-    for _ in range(100):
-        tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
+    points, gammas = rng.random((100, 2)), -rng.random(100)
+    for point, gamma in zip(points, gammas):
+        tree.update(point, float(gamma), RecordOrigin.SELF_GENERATED)
     for leaf in tree.leaves():
-        orders = [r.order_index for r in leaf.records]
-        assert orders == sorted(orders)
-        assert len(set(orders)) == len(orders)
+        # Stream indices of the records, recovered from their distinct gammas.
+        order = [int(np.flatnonzero(gammas == g)[0]) for g in leaf.gammas[: leaf.count]]
+        assert order == sorted(order) and len(set(order)) == len(order)
+        np.testing.assert_array_equal(leaf.positions[: leaf.count], points[order])
 
 
 # --------------------------------------------------------------------- split
@@ -156,8 +157,8 @@ class _RecordingTree(RegionTree):
 
     def _split(self, leaf):
         self._batches = []
-        positions = np.array([r.position for r in leaf.records])
-        gammas = np.array(leaf.gammas)
+        positions = leaf.positions[: leaf.count].copy()
+        gammas = leaf.gammas[: leaf.count].copy()
         super()._split(leaf)
         if not leaf.is_leaf:
             chosen = (leaf.split_dim, leaf.split_value)
@@ -282,7 +283,7 @@ def test_degenerate_identical_positions_do_not_split_forever():
     for _ in range(10):
         tree.update(np.array([0.5, 0.5]), -0.5, RecordOrigin.SELF_GENERATED)
     assert len(tree.leaves()) == 1  # no split possible, tree stays sound
-    assert tree.total_records == 10
+    assert tree.root.count == 10
 
 
 # ----------------------------------------------------------------- selection
@@ -402,7 +403,7 @@ def test_depth_cap_stops_splitting():
         tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
     for leaf in tree.leaves():
         assert leaf.depth <= 2
-    assert tree.total_records == 200
+    assert sum(leaf.count for leaf in tree.leaves()) == 200
 
 
 def test_leaf_at_the_class_depth_cap_stops_splitting():
@@ -413,12 +414,12 @@ def test_leaf_at_the_class_depth_cap_stops_splitting():
     state = tree.rng.bit_generator.state
     for _ in range(50):
         tree.update(rng.random(2), float(-rng.random()), RecordOrigin.SELF_GENERATED)
-    assert tree.leaves() == [tree.root] and len(tree.root.records) == 50
+    assert tree.leaves() == [tree.root] and tree.root.count == 50
     assert tree.rng.bit_generator.state == state  # no split was even attempted
     # One level shallower, the same stream splits it.
     shallower = make_tree(capacity=2, seed=15)
     shallower.root.depth = RegionTree.max_depth - 1
-    for point in [r.position for r in tree.root.records][:3]:
+    for point in tree.root.positions[:3]:
         shallower.update(point, -0.5, RecordOrigin.SELF_GENERATED)
     assert not shallower.root.is_leaf and {leaf.depth for leaf in shallower.leaves()} == {RegionTree.max_depth}
 
@@ -463,17 +464,26 @@ def test_leaf_gammas_follow_records_through_splits(seed):
     tree = make_tree(capacity=6, seed=seed)
     points, gammas = _grid_stream(seed, 400, levels=6)
     rng = np.random.default_rng(seed)
-    for point, gamma in zip(np.vstack([points, rng.random((200, 2))]), np.concatenate([gammas, -rng.random(200)])):
-        tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
-        for leaf in tree.leaves():
-            assert leaf.gammas == [r.gamma for r in leaf.records]
-            positions = {tuple(r.position.tolist()) for r in leaf.records}
+    points, gammas = np.vstack([points, rng.random((200, 2))]), np.concatenate([gammas, -rng.random(200)])
+    owners = []  # the leaf that holds each streamed point
+    for point, gamma in zip(points, gammas):
+        leaf = tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+        owners.append(leaf)
+        changed = [leaf]
+        if not leaf.is_leaf:
+            owners = [tree.locate(p.tolist()) for p in points[: len(owners)]]
+            changed = [leaf.left, leaf.right]
+        for leaf in changed if len(owners) < len(points) else tree.leaves():
+            owned = [i for i, owner in enumerate(owners) if owner is leaf]
+            np.testing.assert_array_equal(leaf.positions[: leaf.count], points[owned])
+            np.testing.assert_array_equal(leaf.gammas[: leaf.count], gammas[owned])
+            positions = {tuple(p) for p in leaf.positions[: leaf.count].tolist()}
             shared = leaf.shared_position
             assert (shared is not None) == (len(positions) == 1)
             if shared is not None:
                 assert positions == {tuple(shared)}
     for node in _internal_nodes(tree.root):
-        assert node.records == [] and node.gammas == [] and node.shared_position is None
+        assert node.count == 0 and node.shared_position is None
 
 
 def _internal_nodes(node):
@@ -586,8 +596,69 @@ def test_identical_updates_stay_cheap_and_draw_as_before():
                 reference.integers(0, 2, size=tree.split_candidates)
                 reference.random(tree.split_candidates)
     assert time.perf_counter() - started < 5.0
-    assert len(tree.leaves()) == 1 and tree.total_records == 2000
+    assert len(tree.leaves()) == 1 and tree.records_by_origin[RecordOrigin.EN_ROUTE] == 2000
     assert tree.rng.bit_generator.state == reference.bit_generator.state
     # A second position makes the leaf splittable again.
     tree.update(np.array([0.75, 0.25]), -1.0, RecordOrigin.EN_ROUTE)
     assert tree.root.shared_position is None and len(tree.leaves()) == 2
+
+
+# ------------------------------------------ columns and counters against the stream
+
+def _left_to_right(node):
+    return [node] if node.is_leaf else _left_to_right(node.left) + _left_to_right(node.right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    tiny=st.booleans(),
+    max_depth=st.sampled_from([1, 3, RegionTree.max_depth]),
+    capacity=st.integers(1, 6),
+    window=st.sampled_from([2, 4, 6]),
+)
+def test_leaf_columns_and_counters_equal_the_stream(data, tiny, max_depth, capacity, window):
+    # Streams mix fresh points, points outside the box (clipped), repeats
+    # and points on earlier cut values.  A tiny box holds only a few floats
+    # per side, so its leaves soon sit on one point or reach `max_depth`.
+    low = np.array([1.0, -2.0])
+    extent = 8 * np.spacing(np.abs(low)) if tiny else np.array([1.0, 3.0])
+    box = Box(low, low + extent)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    tree = RegionTree(box, rng=np.random.default_rng(seed), window=window, capacity=capacity, split_candidates=5)
+    tree.max_depth = max_depth
+    unit = st.floats(-0.5, 1.5)
+    stream = []  # (point as given, gamma, origin)
+    for _ in range(data.draw(st.integers(0, 80))):
+        kind = data.draw(st.sampled_from(["fresh", "repeat", "cut"]))
+        cuts = _internal_nodes(tree.root)
+        if kind == "repeat" and stream:
+            point = stream[data.draw(st.integers(0, len(stream) - 1))][0].copy()
+        else:
+            point = low + np.array([data.draw(unit), data.draw(unit)]) * extent
+            if kind == "cut" and cuts:
+                node = cuts[data.draw(st.integers(0, len(cuts) - 1))]
+                point[node.split_dim] = node.split_value
+        gamma = data.draw(st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-1.0, 0.0))
+        origin = data.draw(st.sampled_from(list(RecordOrigin)))
+        tree.update(point, gamma, origin)
+        stream.append((point, gamma, origin))
+
+    points = np.array([box.clip(point) for point, _, _ in stream]).reshape(-1, 2)
+    gammas = np.array([gamma for _, gamma, _ in stream])
+    owners = [tree.locate(point.tolist()) for point in points]
+    leaves = tree.leaves()
+    assert sum(leaf.count for leaf in leaves) == len(stream)
+    for leaf in leaves:
+        owned = [i for i, owner in enumerate(owners) if owner is leaf]
+        assert np.array_equal(leaf.positions[: leaf.count], points[owned])
+        assert np.array_equal(leaf.gammas[: leaf.count], gammas[owned])
+        assert leaf.interest == tree._interests[leaf.slot] == interest_of(gammas[owned].tolist(), window)
+        assert leaf.depth <= max_depth
+    assert tree.records_by_origin == {o: sum(origin is o for _, _, origin in stream) for o in RecordOrigin}
+    assert tree.clipped_updates == sum(not box.contains(point) for point, _, _ in stream)
+    # Slots in key order walk the leaves left to right, and a point's full
+    # cut box admits exactly the leaf that holds it.
+    assert [leaves[s] for s in tree.admitting([])] == _left_to_right(tree.root)
+    for point, owner in zip(points, owners):
+        assert [leaves[s] for s in tree.admitting(point)] == [owner]
