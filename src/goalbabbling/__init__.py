@@ -15,9 +15,7 @@ from .config import (
 )
 from .evaluation import (
     ComparisonResult,
-    ErrorCurve,
     compare_strategies,
-    error_curve,
     evaluate,
     make_test_db,
     reachable_fraction,

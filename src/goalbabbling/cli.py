@@ -193,8 +193,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("no seeds given")
     if args.db_seed in seeds:
         raise ConfigError("test database seed must differ from every run seed")
-    if args.db_count < 0:
-        raise ConfigError(f"--db-count must be >= 0, got {args.db_count}")
+    if args.db_count < 1:
+        raise ConfigError(f"--db-count must be >= 1, got {args.db_count}")
     budget = min(c.budget for c in configs)
     checkpoints = _parse_checkpoints(args.checkpoints, budget) if args.checkpoints else default_checkpoints(budget)
     out = _out_dir(args.out, "compare")
@@ -242,7 +242,8 @@ def cmd_regions(args) -> int:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     task_low = manifest["config"]["task_low"]
     task_high = manifest["config"]["task_high"]
-    rows = list(csv.DictReader(open(source, newline="")))
+    with open(source, newline="") as f:
+        rows = list(csv.DictReader(f))
     by_checkpoint: dict[str, list[dict]] = {}
     for row in rows:
         by_checkpoint.setdefault(row["checkpoint"], []).append(row)

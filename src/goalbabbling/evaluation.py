@@ -49,15 +49,6 @@ class SignificanceRow:
 
 
 @dataclass(frozen=True)
-class ErrorCurve:
-    """Aggregated learning curve; deviations are across seeds, never across
-    test goals."""
-
-    strategy: str
-    checkpoints: list[tuple[int, float, float]]  # (checkpoint, mean, std)
-
-
-@dataclass(frozen=True)
 class FractionRow:
     strategy: str
     seed: int
@@ -71,7 +62,6 @@ class ComparisonResult:
     curves: list[CurvePoint]
     significance: list[SignificanceRow]
     fractions: list[FractionRow]
-    logs: dict  # (strategy, seed) -> RunLog
 
 
 # Proposals drawn per round of `make_test_db`'s rejection sampling.
@@ -127,10 +117,10 @@ def evaluate(memory, world, goals: np.ndarray, config: ExperimentConfig) -> floa
 
     All goals are scored in one pass, through the world adapter's
     ``exploit``.  On the arm they are reached for in lockstep; each final
-    position equals that of ``reach_evolving(..., learn=False)`` under
-    ``exploitation_budget``.  In the episodic world one stacked
-    local-inverse prediction and one batched rollout give, row by row, what
-    ``local_inverse`` and ``rollout`` give for each goal.
+    position equals that of a per-goal reach from rest that inserts
+    nothing, under ``exploitation_budget``.  In the episodic world one
+    stacked local-inverse prediction and one batched rollout give, row by
+    row, what ``local_inverse`` and ``rollout`` give for each goal.
     """
     finals = world_adapter(config, world).exploit(
         memory, goals, exploitation_budget(config), exploitation_competence(config)
@@ -151,18 +141,6 @@ def reachable_fraction(log: RunLog, window: tuple[float, float] = (0.0, 1.0)) ->
     if not window_goals:
         return math.nan
     return sum(g.reachable for g in window_goals) / len(window_goals)
-
-
-def error_curve(result: "ComparisonResult", strategy: str) -> ErrorCurve:
-    """Mean/std learning curve of one strategy, aggregated over seeds."""
-    checkpoints = sorted({p.checkpoint for p in result.curves if p.strategy == strategy})
-    points = []
-    for checkpoint in checkpoints:
-        errors = np.array(
-            [p.error for p in result.curves if p.strategy == strategy and p.checkpoint == checkpoint]
-        )
-        points.append((checkpoint, float(errors.mean()), float(errors.std(ddof=1)) if errors.size > 1 else 0.0))
-    return ErrorCurve(strategy, points)
 
 
 def _one_run(args):
@@ -187,9 +165,15 @@ def compare_strategies(
     from scipy.stats import mannwhitneyu
 
     if len(configs) < 2:
-        raise ValueError("need at least two strategies to compare")
+        raise ConfigError("need at least two strategies to compare")
     if len(set(c.strategy for c in configs)) != len(configs):
-        raise ValueError("duplicate strategy in configs")
+        raise ConfigError("duplicate strategy in configs")
+    # Without seeds or test goals there is no error to rank: every curve
+    # would be missing and every rank test with it.
+    if not seeds:
+        raise ConfigError("no seeds given")
+    if test_goals is None or len(test_goals) == 0:
+        raise ConfigError("comparison needs a test database with at least one goal")
     # One test database scores every run, so every run must share its world.
     for name in ("environment", "task_low", "task_high"):
         if any(getattr(c, name) != getattr(configs[0], name) for c in configs):
@@ -228,8 +212,6 @@ def compare_strategies(
             for b in strategies:
                 if a == b:
                     continue
-                if by_strategy[a].size == 0 or by_strategy[b].size == 0:
-                    continue
                 p = float(mannwhitneyu(by_strategy[a], by_strategy[b], alternative="less").pvalue)
                 significance.append(SignificanceRow(checkpoint, a, b, p))
 
@@ -245,5 +227,5 @@ def compare_strategies(
                 reachable_fraction(log),
             )
         )
-    return ComparisonResult(curves, significance, fractions, logs)
+    return ComparisonResult(curves, significance, fractions)
 

@@ -93,14 +93,12 @@ class EvaluationRecord:
 
 @dataclass
 class RunLog:
-    config: dict
     attempts: list[AttemptRecord] = field(default_factory=list)
     goals: list[GoalEvent] = field(default_factory=list)
     snapshots: list[SnapshotRecord] = field(default_factory=list)
     evaluations: list[EvaluationRecord] = field(default_factory=list)
     resets: list[int] = field(default_factory=list)
     en_route_updates: int = 0
-    final_memory_size: int = 0
 
 
 def check_checkpoints(checkpoints, budget: int) -> None:
@@ -190,7 +188,7 @@ def run_with_memory(config: ExperimentConfig, checkpoints=(), test_goals=None):
     check_checkpoints(checkpoints, config.budget)
     streams = RngStreams(config.seed)
     adapter = world_adapter(config, config.build_world())
-    log = RunLog(config=config.to_dict())
+    log = RunLog()
     marks = _Checkpoints(checkpoints, adapter.world, test_goals, config)
     run = _run_goal_babbling if config.strategy in (SAGG_RIAC, SAGG_RANDOM) else _run_motor_babbling
     return log, run(config, adapter, streams, marks, log)
@@ -246,7 +244,6 @@ def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoi
         if idle > _STALL_LIMIT:
             raise RuntimeError("experiment stalled: attempts consume no physical experiments")
     marks.collect(used, memory, tree, log)
-    log.final_memory_size = len(memory)
     return memory
 
 
@@ -275,7 +272,6 @@ def _run_motor_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpo
             policy.observe(*adapter.babble(memory, action, predict=True))
         used += 1
     marks.collect(used, memory, tree=None, log=log)
-    log.final_memory_size = len(memory)
     return memory
 
 

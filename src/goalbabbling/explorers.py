@@ -16,8 +16,7 @@ Two reaching procedures share the same outcome contract:
   with the same draws, records and outcome as one rollout at a time.
 
 Every executed micro-action/rollout is inserted into memory exactly once
-and reported through the ``hooks`` callback (used for en-route crediting),
-unless learning is disabled for evaluation.
+and reported through the ``hooks`` callback (used for en-route crediting).
 """
 from __future__ import annotations
 
@@ -71,7 +70,6 @@ class ReachingBudget:
 
 @dataclass(frozen=True)
 class ReachOutcome:
-    goal: np.ndarray
     final: np.ndarray
     gamma: float
     micro_actions_used: int
@@ -153,21 +151,14 @@ def reach_evolving(
     rng: np.random.Generator | None = None,
     hooks=None,
     allowance: int | None = None,
-    learn: bool = True,
 ) -> ReachOutcome:
-    """Steer the arm from its current joint state toward `goal`.
-
-    With ``learn=False`` nothing is inserted, so evaluation leaves memory
-    untouched (``hooks``, when given, still sees every point); callers
-    should also zero ``explore_actions`` and set ``blocking_window=1`` to
-    forbid exploration entirely.
-    """
+    """Steer the arm from its current joint state toward `goal`."""
     goal = np.asarray(goal, dtype=float)
     start = world.forward(alpha)
     current = start
     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
     if gamma == 0.0:
-        return ReachOutcome(goal, current, 0.0, 0, REACHED, alpha.copy())
+        return ReachOutcome(current, 0.0, 0, REACHED, alpha.copy())
 
     start_distance = scaled_distance(start, goal, competence)
     cap = budget.max_steps(start_distance)
@@ -181,9 +172,8 @@ def reach_evolving(
     stalled_phases = 0
 
     def _record(before: np.ndarray, after: np.ndarray, displacement: np.ndarray, point: np.ndarray) -> None:
-        if learn:
-            # The exemplar stores the actually-applied (post-clamp) increment.
-            memory.insert(before, after - before, displacement)
+        # The exemplar stores the actually-applied (post-clamp) increment.
+        memory.insert(before, after - before, displacement)
         if hooks is not None:
             hooks(point)
 
@@ -201,7 +191,7 @@ def reach_evolving(
             best = min(best, euclidean(current, goal))
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
-                return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
+                return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
             error = euclidean(result.displacement, desired)
             explore = error > budget.prediction_error_max
         if explore:
@@ -213,12 +203,12 @@ def reach_evolving(
                 last_mark = best
                 if stalled_phases >= budget.blocking_window:
                     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                    return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
+                    return ReachOutcome(current, gamma, steps, BLOCKED, alpha.copy())
             if jacobian is None and not budget.explore_actions:
                 # Nothing can move the arm, so every later round would be
                 # this one again: end now, as the blocking check would.
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
+                return ReachOutcome(current, gamma, steps, BLOCKED, alpha.copy())
             count = min(budget.explore_actions, cap - steps)
             if count:
                 # The whole burst as one block; it ends early at the first
@@ -241,10 +231,10 @@ def reach_evolving(
                 offsets = after[:kept] - goal
                 best = min(best, float(np.sqrt(np.vecdot(offsets, offsets)).min()))
                 if reached.size:
-                    return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
+                    return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
 
     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-    return ReachOutcome(goal, current, gamma, steps, TIMEOUT, alpha.copy())
+    return ReachOutcome(current, gamma, steps, TIMEOUT, alpha.copy())
 
 
 def reach_evolving_lockstep(
@@ -255,13 +245,14 @@ def reach_evolving_lockstep(
     budget: ReachingBudget,
     competence: CompetenceConfig,
 ) -> list[ReachOutcome]:
-    """``reach_evolving(..., learn=False)`` from `alpha` toward every row of
-    `goals`, advancing all unfinished reaches by one micro-action per round.
+    """A reach from `alpha` toward every row of `goals` that inserts
+    nothing, advancing all unfinished reaches by one micro-action per round.
 
     Pure exploitation only: ``explore_actions`` must be 0 and
     ``blocking_window`` positive, so no random number is drawn and the
-    reaches are independent.  Each outcome equals the one
-    ``reach_evolving`` returns for its goal, bit for bit.
+    reaches are independent.  Each outcome equals, bit for bit, the one
+    ``reach_evolving`` returns for its goal over a memory that drops its
+    inserts.
     """
     if budget.explore_actions or not budget.blocking_window:
         raise ValueError("lockstep reaching needs explore_actions=0 and blocking_window>=1")
@@ -328,7 +319,7 @@ def reach_evolving_lockstep(
         gamma = 0.0
         if ends[i] != REACHED:
             gamma = clip_to_gamma(competence_normalized(goals[i], currents[i], start, competence), competence)
-        outcomes.append(ReachOutcome(goals[i], currents[i], gamma, int(steps[i]), ends[i], alphas[i]))
+        outcomes.append(ReachOutcome(currents[i], gamma, int(steps[i]), ends[i], alphas[i]))
     return outcomes
 
 
@@ -341,7 +332,6 @@ def reach_fixed(
     rng: np.random.Generator | None = None,
     hooks=None,
     allowance: int | None = None,
-    learn: bool = True,
 ) -> ReachOutcome:
     """One episodic attempt: predict parameters for `goal`, then hill-climb.
 
@@ -359,7 +349,7 @@ def reach_fixed(
     if allowance is not None:
         cap = min(cap, allowance)
     if cap <= 0:
-        return ReachOutcome(goal, start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
+        return ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
 
     known_best: float | None = None
     if len(memory):
@@ -374,8 +364,7 @@ def reach_fixed(
         theta = rng.uniform(0.0, 1.0, world.param_dim)
 
     def _record(params: np.ndarray, outcome: np.ndarray) -> None:
-        if learn:
-            memory.insert(params, outcome)
+        memory.insert(params, outcome)
         if hooks is not None:
             hooks(outcome)
 
@@ -385,7 +374,7 @@ def reach_fixed(
     rollouts = 1
     best_theta, best_outcome, best_gamma = theta, outcome, gamma
     if gamma == 0.0:
-        return ReachOutcome(goal, outcome, 0.0, rollouts, REACHED, best_theta)
+        return ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta)
 
     attempt_distance = scaled_distance(goal, outcome, competence)
     inefficient = known_best is None or attempt_distance > known_best
@@ -416,7 +405,7 @@ def reach_fixed(
                         # Leave the stream where drawing one row per rollout would.
                         rng.bit_generator.state = drawn
                         rng.uniform(-1.0, 1.0, (row, world.param_dim))
-                    return ReachOutcome(goal, best_outcome, 0.0, rollouts + row, REACHED, best_theta)
+                    return ReachOutcome(best_outcome, 0.0, rollouts + row, REACHED, best_theta)
         rollouts += count
 
-    return ReachOutcome(goal, best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)
+    return ReachOutcome(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)

@@ -430,26 +430,22 @@ class FixedMemory:
     def nearest_params(self, key: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self._param_index.query(np.asarray(key, dtype=float), k)
 
-    def local_inverse(
-        self, goal: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
-    ) -> tuple[np.ndarray, int]:
+    def local_inverse(self, goal: np.ndarray) -> tuple[np.ndarray, int]:
         """Predict the parameters for `goal`: one row of ``local_inverses``."""
-        predicted, nearest = self.local_inverses(np.asarray(goal, dtype=float)[None], candidates, neighborhood)
+        predicted, nearest = self.local_inverses(np.asarray(goal, dtype=float)[None])
         return predicted[0], int(nearest[0])
 
-    def local_inverses(
-        self, goals: np.ndarray, candidates: int | None = None, neighborhood: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def local_inverses(self, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Predict the parameters for every row of `goals` from the most
         consistent neighborhood of past outcomes.
 
-        Around each of the `candidates` nearest effects to a goal, the
-        `neighborhood` nearest-in-params exemplars form a candidate set; the
-        set whose params spread the least (summed per-component standard
-        deviation) wins, the first one on ties, and a centered linear
-        effect->params fit on it yields the prediction.  Redundant memories
-        keep multiple param families for one effect region; picking the
-        tightest set avoids averaging across families.
+        Around each of the ``inverse_candidates`` nearest effects to a goal,
+        the ``inverse_neighborhood`` nearest-in-params exemplars form a
+        candidate set; the set whose params spread the least (summed
+        per-component standard deviation) wins, the first one on ties, and
+        a centered linear effect->params fit on it yields the prediction.
+        Redundant memories keep multiple param families for one effect
+        region; picking the tightest set avoids averaging across families.
 
         All goals share one effect-index query and all candidate sets one
         params-index query; each row is the same as for that goal alone.
@@ -463,8 +459,7 @@ class FixedMemory:
         """
         if len(self) == 0:
             raise EmptyMemoryError("local inverse model requires at least one exemplar")
-        le = self.inverse_candidates if candidates is None else candidates
-        m = self.inverse_neighborhood if neighborhood is None else neighborhood
+        le, m = self.inverse_candidates, self.inverse_neighborhood
         goals = np.asarray(goals, dtype=float)
         predicted = np.empty((goals.shape[0], self.param_dim))
         if goals.shape[0] == 0:

@@ -82,7 +82,6 @@ class Region:
     # The position every record shares, as floats; None when they differ
     # or there are none.  While it is set, no cut can split the leaf.
     shared_position: list[float] | None = None
-    interest: float = 0.0
     # Position of a leaf in its tree's leaf list.
     slot: int = 0
     split_dim: int | None = None
@@ -188,7 +187,7 @@ class RegionTree:
         leaf.gammas[leaf.count] = gamma
         leaf.count += 1
         self.records_by_origin[origin] += 1
-        leaf.interest = self._interests[leaf.slot] = self._interest(leaf)
+        self._interests[leaf.slot] = self._interest(leaf)
         if leaf.count > self.capacity and leaf.depth < self.max_depth:
             self._split(leaf)
         return leaf
@@ -240,14 +239,13 @@ class RegionTree:
         leaf.left, leaf.right = left, right
         leaf.positions, leaf.gammas, leaf.count = np.empty((0, dim)), np.empty(0), 0
         leaf.shared_position = None
-        leaf.interest = 0.0
         if right.slot == self._interests.shape[0]:
             self._interests, self._keys = _grown(self._interests), _grown(self._keys)
             self._cut_low, self._cut_high = _grown(self._cut_low, axis=1), _grown(self._cut_high, axis=1)
         self._leaves[left.slot] = left
         self._leaves.append(right)
-        self._interests[left.slot] = left.interest
-        self._interests[right.slot] = right.interest
+        self._interests[left.slot] = self._interest(left)
+        self._interests[right.slot] = self._interest(right)
         # The left child keeps its parent's key and cut box; the right one
         # sorts after every leaf below the left, and each side is cut at v.
         self._keys[right.slot] = self._keys[left.slot] + (1 << (self.max_depth - leaf.depth - 1))
@@ -261,7 +259,6 @@ class RegionTree:
         child = Region(box, leaf.depth + 1, at, leaf.gammas[: leaf.count][mask], at.shape[0], slot=slot)
         if (at == at[0]).all():
             child.shared_position = at[0].tolist()
-        child.interest = self._interest(child)
         return child
 
     def _cut_scores(
@@ -309,8 +306,7 @@ class RegionTree:
             return np.full(len(self._leaves), 1.0 / len(self._leaves))
         return weights / total
 
-    def select_goal(self, rng: np.random.Generator | None = None) -> tuple[np.ndarray, int]:
-        rng = self.rng if rng is None else rng
+    def select_goal(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         p1, p2, _ = self.probabilities
         draw = rng.random()
         if draw < p1:
@@ -338,6 +334,6 @@ class RegionTree:
     def snapshot(self) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
         """(low, high, interest, record count) for every leaf."""
         return [
-            (leaf.bounds.low.copy(), leaf.bounds.high.copy(), leaf.interest, leaf.count)
+            (leaf.bounds.low.copy(), leaf.bounds.high.copy(), float(self._interests[leaf.slot]), leaf.count)
             for leaf in self._leaves
         ]

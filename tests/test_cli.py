@@ -295,9 +295,11 @@ def test_output_root_env_var(demo_config, tmp_path, monkeypatch):
         (["compare", "--configs", "{demo}", "{demo}", "--seeds", "1"], "--configs"),
         (["run", "--config", "{demo}", "--budget", "100", "--checkpoints", "50,5000"], "--checkpoints"),
         (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--checkpoints", "400,401"], "--checkpoints"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-count", "0"], "--db-count"),
     ],
     ids=["checkpoints-text", "checkpoints-negative", "seeds-text", "count-negative", "db-count-negative",
-         "one-config", "duplicate-strategy", "run-checkpoint-past-budget", "compare-checkpoint-past-budget"],
+         "one-config", "duplicate-strategy", "run-checkpoint-past-budget", "compare-checkpoint-past-budget",
+         "db-count-zero"],
 )
 def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys, args, flag):
     other = tmp_path / "random.json"

@@ -14,8 +14,9 @@ from goalbabbling.evaluation import (
     reachable_fraction,
 )
 from goalbabbling.experiment import GoalEvent, RunLog, run_with_memory
-from goalbabbling.explorers import reach_evolving, reach_evolving_lockstep
+from goalbabbling.explorers import reach_evolving_lockstep
 from goalbabbling.memory import EvolvingMemory, FixedMemory
+from reaching_reference import reference_reach_evolving
 
 
 def arm_config(**overrides):
@@ -149,7 +150,9 @@ def test_lockstep_evaluation_equals_per_goal_reaches_bitwise(name):
         outcomes = reach_evolving_lockstep(world, memory, world.rest_state(), goals, budget, competence)
         errors = []
         for goal, outcome in zip(goals, outcomes):
-            expected = reach_evolving(world, memory, world.rest_state(), goal, budget, competence, learn=False)
+            expected = reference_reach_evolving(
+                world, memory, world.rest_state(), goal, budget, competence, learn=False
+            )
             assert np.array_equal(outcome.final, expected.final)
             assert np.array_equal(outcome.final_state, expected.final_state)
             assert outcome.gamma == expected.gamma
@@ -222,7 +225,7 @@ def test_map_evaluation_equals_per_goal_loop_bitwise(size):
 # ----------------------------------------------------------------- fractions
 
 def _log_with_goals(modes_reachable):
-    log = RunLog(config={})
+    log = RunLog()
     for i, (mode, reachable) in enumerate(modes_reachable):
         log.goals.append(GoalEvent(i, np.zeros(2), mode, reachable))
     return log
@@ -348,23 +351,31 @@ def test_compare_rejects_a_checkpoint_past_a_budget_before_any_run(monkeypatch):
 
 def test_compare_rejects_single_config():
     base = arm_config()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         compare_strategies([base], [1, 2], [100], np.zeros((1, 2)))
 
 
-def test_error_curve_std_is_across_seeds():
-    from goalbabbling.evaluation import CurvePoint, ComparisonResult, error_curve
+def test_compare_rejects_a_repeated_strategy():
+    base = arm_config()
+    with pytest.raises(ConfigError, match="duplicate strategy"):
+        compare_strategies([base, dataclasses.replace(base, seed=2)], [1], [100], np.zeros((1, 2)))
 
-    points = [
-        CurvePoint("sagg_riac", seed, 100, 100, err)
-        for seed, err in [(1, 2.0), (2, 4.0), (3, 6.0)]
-    ]
-    result = ComparisonResult(points, [], [], {})
-    curve = error_curve(result, "sagg_riac")
-    ((checkpoint, mean, std),) = curve.checkpoints
-    assert checkpoint == 100
-    assert mean == pytest.approx(4.0)
-    assert std == pytest.approx(np.std([2.0, 4.0, 6.0], ddof=1))
+
+@pytest.mark.parametrize(
+    "seeds, goals",
+    [([1], None), ([1], np.zeros((0, 2))), ([], np.zeros((1, 2)))],
+    ids=["no-test-db", "empty-test-db", "no-seeds"],
+)
+def test_compare_without_test_goals_or_seeds_is_rejected_before_any_run(monkeypatch, seeds, goals):
+    import goalbabbling.evaluation as evaluation
+
+    def no_run(job):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(evaluation, "_one_run", no_run)
+    base = arm_config(budget=100)
+    with pytest.raises(ConfigError):
+        compare_strategies([base, dataclasses.replace(base, strategy="sagg_random")], seeds, [100], goals)
 
 
 def test_default_checkpoints_clip_to_budget():

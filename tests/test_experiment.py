@@ -6,6 +6,7 @@ import pytest
 from goalbabbling.competence import CompetenceConfig, clip_to_gamma, competence_normalized
 from goalbabbling.config import ConfigError, EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
 from goalbabbling.experiment import ActuatorRiacPolicy, run_experiment, run_with_memory, strategy_goal
+from goalbabbling.regions import interest_of
 from goalbabbling.rng import RngStreams
 from goalbabbling.spaces import Box
 
@@ -47,10 +48,10 @@ def map_config(**overrides):
 
 
 def test_zero_budget_gives_empty_log():
-    log = run_experiment(arm_config(budget=0))
+    log, memory = run_with_memory(arm_config(budget=0))
     assert log.attempts == []
     assert log.goals == []
-    assert log.final_memory_size == 0
+    assert len(memory) == 0
 
 
 def test_budget_is_spent_exactly():
@@ -76,7 +77,7 @@ def test_memory_growth_matches_budget():
     # Every micro-action is stored exactly once.
     config = arm_config(budget=500)
     log, memory = run_with_memory(config)
-    assert len(memory) == 500 == log.final_memory_size
+    assert len(memory) == 500 == log.attempts[-1].memory_size
 
 
 def test_conservation_updates_once_per_micro_action():
@@ -233,7 +234,10 @@ def test_actuator_riac_leaf_filter_matches_tree_descent():
     assert len(ordered) == len(leaves) > 50
     assert all(a is b for a, b in zip(ordered, _left_to_right(tree.root), strict=True))
     assert any(node.bounds.low[0] > -1.0 for node in ordered if node.depth > 0)
-    np.testing.assert_array_equal(tree._interests[tree.admitting(low[:0])], [leaf.interest for leaf in ordered])
+    np.testing.assert_array_equal(
+        tree._interests[tree.admitting(low[:0])],
+        [interest_of(leaf.gammas[: leaf.count].tolist(), tree.window) for leaf in ordered],
+    )
     # Random states, the outer corners (joint clamping reaches the upper
     # bound exactly) and states lying exactly on split values.
     states = list(feed.uniform(-1.0, 1.0, size=(200, 2))) + [low[:2], high[:2], np.array([1.0, -1.0])]
@@ -293,5 +297,5 @@ PINNED_LOG_FIELDS = {
 @pytest.mark.parametrize("name, strategy", sorted(PINNED_LOG_FIELDS))
 def test_run_log_fields_outside_the_outputs_are_pinned(name, strategy):
     config = dataclasses.replace(load_config(bundled_config_path(name), seed=3, budget=300), strategy=strategy)
-    log = run_experiment(config)
-    assert (log.resets, log.en_route_updates, log.final_memory_size) == PINNED_LOG_FIELDS[(name, strategy)]
+    log, memory = run_with_memory(config)
+    assert (log.resets, log.en_route_updates, len(memory)) == PINNED_LOG_FIELDS[(name, strategy)]

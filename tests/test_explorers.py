@@ -18,16 +18,16 @@ from goalbabbling.explorers import (
     REACHED,
     TIMEOUT,
     ReachingBudget,
-    ReachOutcome,
-    euclidean,
     _gammas,
     make_subgoals,
     reach_evolving,
+    reach_evolving_lockstep,
     reach_fixed,
     rest_reset_policy,
 )
 from goalbabbling.kinematics import ArmGeometry, ArmWorld
 from goalbabbling.memory import EvolvingMemory, FixedMemory
+from reaching_reference import NoInserts, reference_reach_evolving, reference_reach_fixed
 
 COMP = CompetenceConfig()
 
@@ -204,9 +204,7 @@ def test_exploit_mode_inserts_nothing():
     memory = seeded_memory(world, steps=200)
     size = len(memory)
     budget = ReachingBudget(velocity=1.0, explore_actions=0, blocking_window=1)
-    out = reach_evolving(
-        world, memory, world.rest_state(), np.array([5.0, 30.0]), budget, COMP, learn=False
-    )
+    (out,) = reach_evolving_lockstep(world, memory, world.rest_state(), np.array([[5.0, 30.0]]), budget, COMP)
     assert len(memory) == size
     assert out.terminated_by in (REACHED, TIMEOUT, BLOCKED)
 
@@ -333,83 +331,14 @@ def test_gammas_equal_the_scalar_competence(competence):
 
 # ------------------------------------------------- block bursts vs one step at a time
 
-def reference_reach_evolving(
-    world, memory, alpha, goal, budget, competence, rng=None, hooks=None, allowance=None, learn=True, events=None
-):
-    """``reach_evolving`` as it was written one micro-action at a time,
-    reporting in `events` how each exploration burst ended."""
-    goal = np.asarray(goal, dtype=float)
-    start = world.forward(alpha)
-    current = start
-    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-    if gamma == 0.0:
-        return ReachOutcome(goal, current, 0.0, 0, REACHED, alpha.copy())
-    cap = budget.max_steps(scaled_distance(start, goal, competence))
-    if allowance is not None:
-        cap = min(cap, allowance)
-    steps = 0
-    best = euclidean(current, goal)
-    last_mark = best
-    stalled_phases = 0
-
-    def advance(delta):
-        nonlocal alpha, current, steps, best
-        result = world.step(alpha, delta)
-        if learn:
-            memory.insert(alpha, result.alpha - alpha, result.displacement)
-        alpha = result.alpha
-        current = result.effector_after
-        steps += 1
-        if hooks is not None:
-            hooks(current)
-        best = min(best, euclidean(current, goal))
-        return result
-
-    def clip_norm(vector, bound):
-        norm = math.sqrt(float(vector @ vector))
-        return vector * (bound / norm) if norm > bound else vector
-
-    while steps < cap:
-        jacobian = memory.local_jacobian(alpha)
-        explore = jacobian is None
-        if jacobian is not None:
-            distance = euclidean(current, goal)
-            desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = advance(clip_norm(np.linalg.pinv(jacobian) @ desired, world.max_action_norm))
-            gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-            if gamma == 0.0:
-                return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
-            explore = euclidean(result.displacement, desired) > budget.prediction_error_max
-        if explore:
-            if budget.blocking_window:
-                stalled_phases = stalled_phases + 1 if best >= last_mark - 1e-6 else 0
-                last_mark = best
-                if stalled_phases >= budget.blocking_window:
-                    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                    return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
-            if jacobian is None and not budget.explore_actions:
-                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                return ReachOutcome(goal, current, gamma, steps, BLOCKED, alpha.copy())
-            for row in range(budget.explore_actions):
-                if steps >= cap:
-                    events.append("cut")
-                    break
-                delta = rng.uniform(-budget.explore_scale, budget.explore_scale, world.n_dof)
-                if np.linalg.norm(delta) > world.max_action_norm:
-                    events.append("clipped")
-                delta = clip_norm(delta, world.max_action_norm)
-                raw = alpha + delta
-                if np.any(np.clip(raw, world.geometry.joint_low, world.geometry.joint_high) != raw):
-                    events.append("clamped")
-                advance(delta)
-                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                if gamma == 0.0:
-                    events.append("reached mid-burst" if row < budget.explore_actions - 1 else "reached")
-                    return ReachOutcome(goal, current, 0.0, steps, REACHED, alpha.copy())
-            else:
-                events.append("full")
-    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-    return ReachOutcome(goal, current, gamma, steps, TIMEOUT, alpha.copy())
+def _reach_setup(reference, memory, spec, events):
+    """The memory a reach gets and its extra options: the reference learns
+    unless the case says otherwise and reports `events`; a case without
+    learning gives the package's reach a memory that drops its inserts."""
+    learn = spec.get("learn", True)
+    if reference:
+        return memory, dict(learn=learn, events=events)
+    return (memory if learn else NoInserts(memory)), {}
 
 
 def _memory_state(memory):
@@ -485,15 +414,15 @@ def test_block_bursts_match_one_step_at_a_time(config_name, case):
             memory = make_memory()
             stream = np.random.default_rng(1000 + trial)
             points = []
-            options = dict(events=events) if reach is reference_reach_evolving else {}
+            target, options = _reach_setup(reach is reference_reach_evolving, memory, spec, events)
             out = reach(
-                world, memory, alpha, goal, budget, competence, rng=stream,
+                world, target, alpha, goal, budget, competence, rng=stream,
                 hooks=None if spec.get("hooks") is False else points.append,
-                allowance=spec.get("allowance"), learn=spec.get("learn", True), **options,
+                allowance=spec.get("allowance"), **options,
             )
             runs.append((out, _memory_state(memory), points, stream.bit_generator.state))
         (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_points, got_state) = runs
-        for field in ("goal", "final", "final_state"):
+        for field in ("final", "final_state"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
             ref.gamma, ref.micro_actions_used, ref.terminated_by
@@ -519,65 +448,6 @@ def test_block_bursts_match_one_step_at_a_time(config_name, case):
 
 
 # ------------------------------------------- block hill-climb vs one rollout at a time
-
-def reference_reach_fixed(
-    world, memory, goal, budget, competence, rng=None, hooks=None, allowance=None, learn=True, events=None
-):
-    """``reach_fixed`` as it was written one rollout at a time, reporting in
-    `events` how its hill-climb went."""
-    goal = np.asarray(goal, dtype=float)
-    start = world.rest_effect()
-    cap = 1 + budget.explore_actions
-    if allowance is not None:
-        cap = min(cap, allowance)
-    if cap <= 0:
-        return ReachOutcome(goal, start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
-    known_best = None
-    if len(memory):
-        idx, _ = memory.nearest_effect(goal, 1)
-        known_best = scaled_distance(goal, memory.effects[idx[0]], competence)
-        theta = np.clip(memory.local_inverse(goal)[0], 0.0, 1.0)
-    else:
-        events.append("random first theta")
-        theta = rng.uniform(0.0, 1.0, world.param_dim)
-
-    def rollout(params):
-        outcome = world.rollout(params)
-        if learn:
-            memory.insert(params, outcome)
-        if hooks is not None:
-            hooks(outcome)
-        return outcome, clip_to_gamma(competence_normalized(goal, outcome, start, competence), competence)
-
-    outcome, gamma = rollout(theta)
-    rollouts = 1
-    best_theta, best_outcome, best_gamma = theta, outcome, gamma
-    if gamma == 0.0:
-        return ReachOutcome(goal, outcome, 0.0, rollouts, REACHED, best_theta)
-    if known_best is None or scaled_distance(goal, outcome, competence) > known_best:
-        if cap == 1:
-            events.append("no room")
-        elif cap < 1 + budget.explore_actions:
-            events.append("cut")
-        improved = False
-        while rollouts < cap:
-            noise = rng.uniform(-1.0, 1.0, world.param_dim)
-            spread = budget.explore_noise * scaled_distance(goal, best_outcome, competence)
-            candidate = np.clip(best_theta + noise * spread, 0.0, 1.0)
-            outcome, gamma = rollout(candidate)
-            rollouts += 1
-            if gamma > best_gamma:
-                improved = True
-                best_theta, best_outcome, best_gamma = candidate, outcome, gamma
-                if gamma != 0.0 and rollouts < cap:
-                    events.append("improved mid-block")
-            if gamma == 0.0:
-                events.append("reached mid-block" if rollouts < cap else "reached at the end")
-                return ReachOutcome(goal, outcome, 0.0, rollouts, REACHED, best_theta)
-        if not improved and cap > 1:
-            events.append("no improvement")
-    return ReachOutcome(goal, best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)
-
 
 def _fixed_memory_state(memory):
     state = [memory.params.copy(), memory.effects.copy()]
@@ -650,15 +520,15 @@ def test_block_hill_climb_matches_one_rollout_at_a_time(world_name, case):
             memory = make_memory()
             stream = np.random.default_rng(2000 + trial)
             points = []
-            options = dict(events=events) if reach is reference_reach_fixed else {}
+            target, options = _reach_setup(reach is reference_reach_fixed, memory, spec, events)
             out = reach(
-                world, memory, goal, budget, competence, rng=stream,
+                world, target, goal, budget, competence, rng=stream,
                 hooks=None if spec.get("hooks") is False else points.append,
-                allowance=spec.get("allowance"), learn=spec.get("learn", True), **options,
+                allowance=spec.get("allowance"), **options,
             )
             runs.append((out, _fixed_memory_state(memory), points, stream.bit_generator.state))
         (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_points, got_state) = runs
-        for field in ("goal", "final", "final_state"):
+        for field in ("final", "final_state"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
             ref.gamma, ref.micro_actions_used, ref.terminated_by

@@ -519,21 +519,22 @@ def test_local_inverses_equal_the_per_candidate_scan_bitwise(size):
     # queries; every fifth exemplar repeats an earlier one outright.
     rng = np.random.default_rng(size)
     mapping = rng.normal(size=(8, 2))
-    memory = FixedMemory(8, 2)
+    thetas = []
     for i in range(size):
-        theta = rng.integers(0, 3, 8) / 2.0 if i % 5 or i == 0 else memory.params[rng.integers(i)].copy()
-        memory.insert(theta, np.round(theta @ mapping, 1))
-    goals = np.vstack([rng.normal(0.0, 1.5, (30, 2)), memory.effects[rng.integers(size, size=10)]])
-    overrides = [(None, None), (1, 1), (3, 2), (7, 15), (40, 60)]
-    for candidates, neighborhood in overrides:
-        predicted, nearest = memory.local_inverses(goals, candidates, neighborhood)
+        thetas.append(rng.integers(0, 3, 8) / 2.0 if i % 5 or i == 0 else thetas[rng.integers(i)].copy())
+    effects = [np.round(theta @ mapping, 1) for theta in thetas]
+    goals = np.vstack([rng.normal(0.0, 1.5, (30, 2)), np.array(effects)[rng.integers(size, size=10)]])
+    options = [(), (1, 1), (3, 2), (7, 15), (40, 60)]  # the defaults, then (candidates, neighborhood)
+    for option in options:
+        memory = FixedMemory(8, 2, *option)
+        for theta, effect in zip(thetas, effects):
+            memory.insert(theta, effect)
+        predicted, nearest = memory.local_inverses(goals)
         assert predicted.shape == (len(goals), 8) and nearest.shape == (len(goals),)
-        le = memory.inverse_candidates if candidates is None else candidates
-        m = memory.inverse_neighborhood if neighborhood is None else neighborhood
         for row, goal in enumerate(goals):
-            expected = _local_inverse_scan(memory, goal, le, m)
+            expected = _local_inverse_scan(memory, goal, memory.inverse_candidates, memory.inverse_neighborhood)
             assert np.array_equal(predicted[row], expected)
-            one, _ = memory.local_inverse(goal, candidates, neighborhood)
+            one, _ = memory.local_inverse(goal)
             assert np.array_equal(one, expected)
 
 

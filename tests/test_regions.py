@@ -68,7 +68,7 @@ def test_fresh_tree_single_update():
     tree = make_tree()
     tree.update(np.array([0.5, 0.5]), -1.0, RecordOrigin.SELF_GENERATED)
     assert len(tree.leaves()) == 1
-    assert tree.root.interest == 0.0
+    assert tree._interests[tree.root.slot] == 0.0
     assert tree.root.count == 1 and tree.records_by_origin[RecordOrigin.SELF_GENERATED] == 1
 
 
@@ -84,13 +84,13 @@ def test_split_triggers_above_capacity():
 def test_incremental_interest_equals_batch_after_any_sequence():
     tree = make_tree(capacity=8, window=4)
     rng = np.random.default_rng(2)
-    gammas_by_leaf = {}
     for _ in range(200):
         point = rng.random(2)
         gamma = float(-rng.random())
-        leaf = tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
-        assert leaf.interest == batch_interest_oracle(leaf.gammas[: leaf.count], 4)
-        gammas_by_leaf[id(leaf)] = leaf
+        tree.update(point, gamma, RecordOrigin.SELF_GENERATED)
+        for leaf in tree.leaves():
+            assert tree._interests[leaf.slot] == batch_interest_oracle(leaf.gammas[: leaf.count], 4)
+    assert len(tree.leaves()) > 1
 
 
 def test_update_outside_bounds_is_clamped_and_flagged():
@@ -302,8 +302,7 @@ def test_leaf_probabilities_min_subtraction():
     right.left, right.right = right_bottom, right_top
     tree.root.left, tree.root.right = left, right
     tree._leaves = [left, right_bottom, right_top]
-    left.interest, right_bottom.interest, right_top.interest = 0.2, 0.1, 0.1
-    tree._interests = np.array([leaf.interest for leaf in tree._leaves])
+    tree._interests = np.array([0.2, 0.1, 0.1])
     np.testing.assert_allclose(tree.leaf_probabilities(), [1.0, 0.0, 0.0])
 
 
@@ -391,7 +390,7 @@ def test_leaf_probabilities_form_a_distribution():
         probabilities = tree.leaf_probabilities()
         assert np.all(probabilities >= 0.0)
         assert probabilities.sum() == pytest.approx(1.0)
-        interests = np.array([leaf.interest for leaf in tree.leaves()])
+        interests = np.array([tree._interests[leaf.slot] for leaf in tree.leaves()])
         assert probabilities.argmax() == interests.argmax()
 
 
@@ -436,7 +435,7 @@ def _grid_stream(seed, count, levels=4):
 
 
 def _probabilities_from_scratch(tree):
-    interests = np.array([leaf.interest for leaf in tree.leaves()])
+    interests = np.array([interest_of(leaf.gammas[: leaf.count].tolist(), tree.window) for leaf in tree.leaves()])
     weights = interests - interests.min()
     total = weights.sum()
     if total <= 0.0:
@@ -455,7 +454,7 @@ def test_leaf_probabilities_equal_the_formula_through_splits(seed):
         if step % 3 == 0:
             assert [leaf.slot for leaf in tree.leaves()] == list(range(len(tree.leaves())))
             assert np.array_equal(tree.leaf_probabilities(), _probabilities_from_scratch(tree))
-            tree.select_goal()
+            tree.select_goal(tree.rng)
     assert len(tree.leaves()) > 64  # past the interest array's first size
 
 
@@ -653,7 +652,7 @@ def test_leaf_columns_and_counters_equal_the_stream(data, tiny, max_depth, capac
         owned = [i for i, owner in enumerate(owners) if owner is leaf]
         assert np.array_equal(leaf.positions[: leaf.count], points[owned])
         assert np.array_equal(leaf.gammas[: leaf.count], gammas[owned])
-        assert leaf.interest == tree._interests[leaf.slot] == interest_of(gammas[owned].tolist(), window)
+        assert tree._interests[leaf.slot] == interest_of(gammas[owned].tolist(), window)
         assert leaf.depth <= max_depth
     assert tree.records_by_origin == {o: sum(origin is o for _, _, origin in stream) for o in RecordOrigin}
     assert tree.clipped_updates == sum(not box.contains(point) for point, _, _ in stream)
