@@ -20,7 +20,7 @@ from .evaluation import (
     make_test_db,
     reachable_fraction,
 )
-from .experiment import RunLog, run_experiment, run_with_memory, strategy_goal
+from .experiment import RunLog, run_with_memory, strategy_goal
 from .explorers import (
     BLOCKED,
     REACHED,

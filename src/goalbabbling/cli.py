@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -20,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .evaluation import compare_strategies, default_checkpoints, evaluate, make_test_db
-from .experiment import RunLog, run_with_memory, world_adapter
+from .evaluation import (
+    CurvePoint, FractionRow, SignificanceRow, compare_strategies, default_checkpoints, evaluate, make_test_db
+)
+from .experiment import EvaluationRecord, RunLog, check_checkpoints, run_with_memory, world_adapter
 
 OUTPUT_ROOT_ENV = "GOALBABBLING_OUT"
 
@@ -59,12 +62,18 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
+def _write_records(path: Path, record_type: type, records) -> None:
+    """One row per dataclass record, under its field names."""
+    _write_csv(path, [f.name for f in dataclasses.fields(record_type)], map(dataclasses.astuple, records))
+
+
 def _parse_checkpoints(text: str, budget: int) -> list[int]:
     """The `--checkpoints` values, none of which may exceed `budget`."""
     checkpoints = _parse_int_list(text, "--checkpoints")
-    late = [c for c in checkpoints if c > budget]
-    if late:
-        raise ConfigError(f"--checkpoints must not exceed the budget of {budget}, got {late[0]}")
+    try:
+        check_checkpoints(checkpoints, budget)
+    except ConfigError as exc:
+        raise ConfigError(f"--checkpoints: {exc}") from None
     return checkpoints
 
 
@@ -100,15 +109,10 @@ def write_run_outputs(log: RunLog, out: Path) -> None:
             for (low, high, interest, count) in snap.leaves
         ),
     )
-    _write_csv(
-        out / "evaluations.csv",
-        ["checkpoint", "used", "error"],
-        ([e.checkpoint, e.used, e.error] for e in log.evaluations),
-    )
+    _write_records(out / "evaluations.csv", EvaluationRecord, log.evaluations)
 
 
-def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> None:
-    manifest = {"config": config.to_dict(), **extra}
+def _write_manifest(out: Path, manifest: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -169,7 +173,9 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_run_outputs(log, out)
     memory.dump_csv(out / "memory.csv")
-    _write_manifest(out, config, {"checkpoints": checkpoints, "seed": config.seed, "budget": config.budget})
+    _write_manifest(
+        out, {"config": config.to_dict(), "checkpoints": checkpoints, "seed": config.seed, "budget": config.budget}
+    )
     print(f"run complete: {out}")
     return 0
 
@@ -189,8 +195,6 @@ def cmd_compare(args) -> int:
     if len(configs) < 2 or len({c.strategy for c in configs}) < len(configs):
         raise ConfigError("--configs needs at least two configs, each with its own strategy")
     seeds = _parse_int_list(args.seeds, "--seeds")
-    if not seeds:
-        raise ConfigError("no seeds given")
     if args.db_seed in seeds:
         raise ConfigError("test database seed must differ from every run seed")
     if args.db_count < 1:
@@ -202,29 +206,19 @@ def cmd_compare(args) -> int:
     goals = make_test_db(world, args.db_count, args.db_seed)
     result = compare_strategies(configs, seeds, checkpoints, goals, n_jobs=args.jobs)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "curves.csv",
-        ["strategy", "seed", "checkpoint", "used", "error"],
-        ([c.strategy, c.seed, c.checkpoint, c.used, c.error] for c in result.curves),
+    _write_records(out / "curves.csv", CurvePoint, result.curves)
+    _write_records(out / "significance.csv", SignificanceRow, result.significance)
+    _write_records(out / "fraction.csv", FractionRow, result.fractions)
+    _write_manifest(
+        out,
+        {
+            "configs": [c.to_dict() for c in configs],
+            "seeds": seeds,
+            "checkpoints": checkpoints,
+            "db_seed": args.db_seed,
+            "db_count": args.db_count,
+        },
     )
-    _write_csv(
-        out / "significance.csv",
-        ["checkpoint", "strategy_a", "strategy_b", "p_less"],
-        ([s.checkpoint, s.strategy_a, s.strategy_b, s.p_less] for s in result.significance),
-    )
-    _write_csv(
-        out / "fraction.csv",
-        ["strategy", "seed", "first_third", "last_third", "overall"],
-        ([f.strategy, f.seed, f.first_third, f.last_third, f.overall] for f in result.fractions),
-    )
-    manifest = {
-        "configs": [c.to_dict() for c in configs],
-        "seeds": seeds,
-        "checkpoints": checkpoints,
-        "db_seed": args.db_seed,
-        "db_count": args.db_count,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"comparison complete: {out}")
     return 0
 
@@ -233,31 +227,29 @@ def cmd_regions(args) -> int:
     run_dir = Path(args.run)
     source = run_dir / "regions.csv"
     if not source.exists():
-        print(f"no region snapshots found under {run_dir}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"no region snapshots found under {run_dir}")
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
-        print(f"missing manifest.json under {run_dir}", file=sys.stderr)
-        return 2
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    task_low = manifest["config"]["task_low"]
-    task_high = manifest["config"]["task_high"]
-    with open(source, newline="") as f:
-        rows = list(csv.DictReader(f))
-    by_checkpoint: dict[str, list[dict]] = {}
-    for row in rows:
-        by_checkpoint.setdefault(row["checkpoint"], []).append(row)
-    area = (task_high[0] - task_low[0]) * (task_high[1] - task_low[1])
-    for checkpoint, leaves in by_checkpoint.items():
-        covered = sum(
-            (float(r["high_x"]) - float(r["low_x"])) * (float(r["high_y"]) - float(r["low_y"])) for r in leaves
-        )
-        if abs(covered - area) > 1e-6 * max(area, 1.0):
-            print(f"checkpoint {checkpoint}: leaves do not tile the task space", file=sys.stderr)
-            return 2
+        raise ConfigError(f"missing manifest.json under {run_dir}")
+    try:
+        config = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
+        task_low, task_high = config["task_low"], config["task_high"]
+        area = (task_high[0] - task_low[0]) * (task_high[1] - task_low[1])
+        with open(source, newline="") as f:
+            rows = list(csv.DictReader(f))
+        covered: dict[str, float] = {}
+        for row in rows:
+            leaf = (float(row["high_x"]) - float(row["low_x"])) * (float(row["high_y"]) - float(row["low_y"]))
+            covered[row["checkpoint"]] = covered.get(row["checkpoint"], 0.0) + leaf
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"cannot read the region snapshots under {run_dir}: {exc!r}") from exc
+    for checkpoint, total in covered.items():
+        # A NaN total fails the test too.
+        if not abs(total - area) <= 1e-6 * max(area, 1.0):
+            raise ConfigError(f"checkpoint {checkpoint}: leaves do not tile the task space")
     destination = Path(args.out) if args.out else run_dir / "regions_validated.csv"
     destination.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
-    print(f"{len(by_checkpoint)} checkpoint(s) validated: {destination}")
+    print(f"{len(covered)} checkpoint(s) validated: {destination}")
     return 0
 
 

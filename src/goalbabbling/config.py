@@ -212,12 +212,9 @@ class ExperimentConfig:
     def mispredict_threshold(self) -> float:
         return 0.5 * self.velocity if self.prediction_error_max is None else self.prediction_error_max
 
-    @property
-    def rescaled(self) -> bool:
-        return self.environment.type == ENV_SYNERGY if self.rescale_competence is None else self.rescale_competence
-
     def dim_scales(self) -> np.ndarray | None:
-        if not self.rescaled:
+        rescaled = self.environment.type == ENV_SYNERGY if self.rescale_competence is None else self.rescale_competence
+        if not rescaled:
             return None
         return 1.0 / (np.array(self.task_high) - np.array(self.task_low))
 

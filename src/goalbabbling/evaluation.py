@@ -18,7 +18,7 @@ from .config import ConfigError, ExperimentConfig
 # `reach_evolving` stays importable from this module, where the benchmark's
 # tracer wraps it by name; evaluation itself reaches through the world adapter.
 from .explorers import ReachingBudget, euclidean, reach_evolving  # noqa: F401
-from .experiment import RunLog, check_checkpoints, competence_config, reaching_budget, run_experiment, world_adapter
+from .experiment import RunLog, check_checkpoints, competence_config, reaching_budget, run_with_memory, world_adapter
 
 
 # Evaluation checkpoint schedule used when a caller does not pick one.
@@ -143,9 +143,10 @@ def reachable_fraction(log: RunLog, window: tuple[float, float] = (0.0, 1.0)) ->
     return sum(g.reachable for g in window_goals) / len(window_goals)
 
 
-def _one_run(args):
+def _one_run(args) -> RunLog:
     config, checkpoints, goals = args
-    return run_experiment(config, checkpoints=checkpoints, test_goals=goals)
+    # Only the log goes back to the caller (across processes, with n_jobs > 1).
+    return run_with_memory(config, checkpoints=checkpoints, test_goals=goals)[0]
 
 
 def compare_strategies(
@@ -158,8 +159,8 @@ def compare_strategies(
     """Run every config x seed, score the shared test set at each
     checkpoint, and rank-test final errors for every ordered strategy pair.
 
-    Results are independent of `n_jobs`; runs are keyed by (strategy, seed)
-    and aggregated in sorted order.
+    Results are independent of `n_jobs`: each run is one (strategy, seed)
+    pair, so seeds may not repeat, and runs are aggregated in sorted order.
     """
     # scipy.stats takes about a second to import; only comparisons need it.
     from scipy.stats import mannwhitneyu
@@ -174,30 +175,30 @@ def compare_strategies(
         raise ConfigError("no seeds given")
     if test_goals is None or len(test_goals) == 0:
         raise ConfigError("comparison needs a test database with at least one goal")
+    # Each (strategy, seed) pair is one run; a repeated seed names it twice.
+    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} is given more than once")
     # One test database scores every run, so every run must share its world.
     for name in ("environment", "task_low", "task_high"):
         if any(getattr(c, name) != getattr(configs[0], name) for c in configs):
             given = "; ".join(f"{c.strategy} has {getattr(c, name)}" for c in configs)
             raise ConfigError(f"configs differ in {name}: {given}")
     check_checkpoints(checkpoints, min(c.budget for c in configs))
-    jobs = []
-    for config in configs:
-        for seed in seeds:
-            jobs.append((dataclasses.replace(config, seed=seed), tuple(checkpoints), test_goals))
+    runs = sorted((config.strategy, seed) for config in configs for seed in seeds)
+    config_of = {config.strategy: config for config in configs}
+    jobs = [(dataclasses.replace(config_of[s], seed=seed), tuple(checkpoints), test_goals) for s, seed in runs]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_one_run, jobs))
+            logs = list(pool.map(_one_run, jobs))
     else:
-        results = [_one_run(job) for job in jobs]
+        logs = [_one_run(job) for job in jobs]
 
-    logs: dict = {}
-    for (config, _, _), log in zip(jobs, results):
-        logs[(config.strategy, config.seed)] = log
-
-    curves = []
-    for (strategy, seed) in sorted(logs):
-        for record in logs[(strategy, seed)].evaluations:
-            curves.append(CurvePoint(strategy, seed, record.checkpoint, record.used, record.error))
+    curves = [
+        CurvePoint(strategy, seed, record.checkpoint, record.used, record.error)
+        for (strategy, seed), log in zip(runs, logs)
+        for record in log.evaluations
+    ]
 
     strategies = [c.strategy for c in configs]
     significance = []
@@ -215,17 +216,15 @@ def compare_strategies(
                 p = float(mannwhitneyu(by_strategy[a], by_strategy[b], alternative="less").pvalue)
                 significance.append(SignificanceRow(checkpoint, a, b, p))
 
-    fractions = []
-    for (strategy, seed) in sorted(logs):
-        log = logs[(strategy, seed)]
-        fractions.append(
-            FractionRow(
-                strategy,
-                seed,
-                reachable_fraction(log, (0.0, 1.0 / 3.0)),
-                reachable_fraction(log, (2.0 / 3.0, 1.0)),
-                reachable_fraction(log),
-            )
+    fractions = [
+        FractionRow(
+            strategy,
+            seed,
+            reachable_fraction(log, (0.0, 1.0 / 3.0)),
+            reachable_fraction(log, (2.0 / 3.0, 1.0)),
+            reachable_fraction(log),
         )
+        for (strategy, seed), log in zip(runs, logs)
+    ]
     return ComparisonResult(curves, significance, fractions)
 

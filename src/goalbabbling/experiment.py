@@ -177,14 +177,10 @@ def strategy_goal(
     return point, MODE_TAGS[mode]
 
 
-def run_experiment(config: ExperimentConfig, checkpoints=(), test_goals=None) -> RunLog:
-    """Execute one full run; identical (config, checkpoints, db) inputs
-    reproduce an identical log."""
-    return run_with_memory(config, checkpoints, test_goals)[0]
-
-
 def run_with_memory(config: ExperimentConfig, checkpoints=(), test_goals=None):
-    """As `run_experiment`, but also return the final sensorimotor memory."""
+    """Execute one full run and return its log and final sensorimotor
+    memory; identical (config, checkpoints, db) inputs reproduce an
+    identical log and memory."""
     check_checkpoints(checkpoints, config.budget)
     streams = RngStreams(config.seed)
     adapter = world_adapter(config, config.build_world())
@@ -202,7 +198,6 @@ def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoi
 
     def conserve(point: np.ndarray) -> None:
         tree.update(point, max_competence(), RecordOrigin.EN_ROUTE)
-        log.en_route_updates += 1
 
     hooks = conserve if config.conservation else None
     used = attempt = goals_made = idle = 0
@@ -244,6 +239,7 @@ def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoi
         if idle > _STALL_LIMIT:
             raise RuntimeError("experiment stalled: attempts consume no physical experiments")
     marks.collect(used, memory, tree, log)
+    log.en_route_updates = tree.records_by_origin[RecordOrigin.EN_ROUTE]
     return memory
 
 
@@ -285,26 +281,26 @@ class ActuatorRiacPolicy:
     sampled inside a leaf drawn with probability proportional to its
     interest; when a current state is given, only the leaves whose cut box
     admits it on the first ``state_dim`` coordinates are eligible, taken in
-    depth-first order (`RegionTree.admitting`).
+    depth-first order (`RegionTree.admitting`).  Both draws come from the
+    tree's random stream, which also draws its split candidates.
     """
 
     def __init__(self, bounds: Box, state_dim: int, window, capacity, split_candidates, rng):
         self.state_dim = int(state_dim)
         self.tree = RegionTree(bounds, rng, window=window, capacity=capacity, split_candidates=split_candidates)
-        self.rng = rng
 
     def choose_point(self, state: np.ndarray | None = None) -> np.ndarray:
         """Sample an input-space point; `state` constrains the leading dims."""
-        tree = self.tree
+        tree, rng = self.tree, self.tree.rng
         slots = np.arange(len(tree._leaves)) if state is None else tree.admitting(state[: self.state_dim])
         interests = tree._interests[slots]
         weights = interests - interests.min()
         total = weights.sum()
         if total <= 0.0:
-            pick = self.rng.integers(len(interests))
+            pick = rng.integers(len(interests))
         else:
-            pick = weighted_index(self.rng, weights / total)
-        return tree._leaves[slots[pick]].bounds.sample(self.rng)
+            pick = weighted_index(rng, weights / total)
+        return tree._leaves[slots[pick]].bounds.sample(rng)
 
     def observe(self, point: np.ndarray, error: float) -> None:
         self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
@@ -355,11 +351,11 @@ class _ArmAdapter(_WorldAdapter):
             log.resets.append(used)
 
     def position(self) -> np.ndarray:
-        return self.world.forward(self.state)
+        return self.effector
 
     def reach(self, memory, target, budget, competence, **options):
         outcome = reach_evolving(self.world, memory, self.state, target, budget, competence, **options)
-        self.state = outcome.final_state
+        self.state, self.effector = outcome.final_state, outcome.final
         return outcome
 
     def exploit(self, memory, goals, budget, competence) -> list[np.ndarray]:

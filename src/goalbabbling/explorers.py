@@ -17,6 +17,8 @@ Two reaching procedures share the same outcome contract:
 
 Every executed micro-action/rollout is inserted into memory exactly once
 and reported through the ``hooks`` callback (used for en-route crediting).
+The arm itself bounds the length of each micro-action and clamps its
+joints (``ArmWorld.step`` and its batch forms).
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .competence import CompetenceConfig, clip_to_gamma, competence_normalized, scaled_distance, scaled_distances
-from .kinematics import ArmWorld, SynergyWorld, forward_kinematics_many
+from .kinematics import ArmWorld, SynergyWorld
 from .memory import EvolvingMemory, FixedMemory
 
 REACHED = "reached"
@@ -98,13 +100,6 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(float(d @ d))
 
 
-def _clip_norm(vector: np.ndarray, bound: float) -> np.ndarray:
-    norm = math.sqrt(float(vector @ vector))
-    if norm > bound:
-        return vector * (bound / norm)
-    return vector
-
-
 def _gammas(goals: np.ndarray, points: np.ndarray, start_distance, competence: CompetenceConfig) -> np.ndarray:
     """Clipped competence of each row of `points` as the end of an attempt at
     its goal from a start `start_distance` away: row by row,
@@ -114,31 +109,6 @@ def _gammas(goals: np.ndarray, points: np.ndarray, start_distance, competence: C
     start_distance = np.where(near, 1.0, start_distance)
     c = np.where(final > start_distance, -1.0, -final / start_distance)
     return np.where(near | ~(c <= competence.reached_tolerance), 0.0, c)
-
-
-def _explore_block(
-    world: ArmWorld, alpha: np.ndarray, effector: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint states and effector positions along a sequence of explorative
-    micro-actions from `alpha`, whose effector is at `effector`.
-
-    Row 0 of each array is the start and row i + 1 the state after
-    ``deltas[i]``.  Each action is norm-clipped and its result clamped to the
-    joint limits, so every row equals what ``world.step`` gives one action at
-    a time, bit for bit.
-    """
-    norms = np.sqrt(np.vecdot(deltas, deltas))
-    over = norms > world.max_action_norm
-    deltas[over] *= (world.max_action_norm / norms[over])[:, None]
-    low, high = world.geometry.joint_low, world.geometry.joint_high
-    alphas = np.empty((deltas.shape[0] + 1, world.n_dof))
-    alphas[0] = alpha
-    for i, delta in enumerate(deltas):
-        alphas[i + 1] = np.clip(alphas[i] + delta, low, high)
-    effectors = np.empty((alphas.shape[0], effector.shape[0]))
-    effectors[0] = effector
-    effectors[1:] = forward_kinematics_many(world.geometry, alphas[1:])
-    return alphas, effectors
 
 
 def reach_evolving(
@@ -183,8 +153,7 @@ def reach_evolving(
         if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            delta = _clip_norm(np.linalg.pinv(jacobian) @ desired, world.max_action_norm)
-            result = world.step(alpha, delta, current)
+            result = world.step(alpha, np.linalg.pinv(jacobian) @ desired, current)
             _record(alpha, result.alpha, result.displacement, result.effector_after)
             alpha, current = result.alpha, result.effector_after
             steps += 1
@@ -215,7 +184,7 @@ def reach_evolving(
                 # micro-action that reaches the goal.
                 drawn = rng.bit_generator.state
                 deltas = rng.uniform(-budget.explore_scale, budget.explore_scale, (count, world.n_dof))
-                alphas, effectors = _explore_block(world, alpha, current, deltas)
+                alphas, effectors = world.step_sequence(alpha, deltas, current)
                 after = effectors[1:]
                 reached = np.flatnonzero(_gammas(goal, after, start_distance, competence) == 0.0)
                 kept = int(reached[0]) + 1 if reached.size else count
@@ -275,7 +244,6 @@ def reach_evolving_lockstep(
     at_start = start_distance < competence.min_start_distance
     ends[at_start] = REACHED
     active = np.flatnonzero(~at_start)
-    low, high = world.geometry.joint_low, world.geometry.joint_high
 
     while True:
         active = active[steps[active] < caps[active]]
@@ -289,11 +257,7 @@ def reach_evolving_lockstep(
             goal, current, d = goals[moving], currents[moving], distance[moving]
             desired = (goal - current) * (np.minimum(budget.velocity, d) / d)[:, None]
             delta = (pinvs[fitted] @ desired[:, :, None])[:, :, 0]
-            norm = np.sqrt(np.vecdot(delta, delta))
-            over = norm > world.max_action_norm
-            delta[over] *= (world.max_action_norm / norm[over])[:, None]
-            alphas[moving] = np.clip(alphas[moving] + delta, low, high)
-            after = forward_kinematics_many(world.geometry, alphas[moving])
+            alphas[moving], after = world.step_many(alphas[moving], delta)
             currents[moving] = after
             steps[moving] += 1
             d = np.sqrt(np.vecdot(after - goal, after - goal))

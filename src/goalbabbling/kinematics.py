@@ -161,18 +161,60 @@ class ArmWorld(PlanarWorld):
         return forward_kinematics(self.geometry, alpha)
 
     def step(self, alpha: np.ndarray, delta: np.ndarray, effector: np.ndarray | None = None) -> StepResult:
-        """Apply a joint increment, clamping the result to the joint limits.
+        """Apply a joint increment: one longer than ``max_action_norm`` is
+        scaled onto that bound, and the result is clamped to the joint limits.
 
-        Clamping is silent; the displacement is measured on the actually
+        Both are silent; the displacement is measured on the actually
         applied motion.  A caller that already holds the effector position
         at `alpha` (``forward(alpha)``, as a previous step's
         ``effector_after``) passes it as `effector`, which saves one
         forward-kinematics pass; it becomes ``effector_before``.
         """
         before = forward_kinematics(self.geometry, alpha) if effector is None else effector
+        norm = math.sqrt(float(delta @ delta))
+        if norm > self.max_action_norm:
+            delta = delta * (self.max_action_norm / norm)
         new = np.clip(alpha + delta, self.geometry.joint_low, self.geometry.joint_high)
         after = forward_kinematics(self.geometry, new)
         return StepResult(new, before, after)
+
+    def step_sequence(
+        self, alpha: np.ndarray, deltas: np.ndarray, effector: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Joint states and effector positions along a sequence of
+        micro-actions from `alpha`, whose effector is at `effector`.
+
+        Row 0 of each array is the start and row i + 1 the state after
+        ``deltas[i]``; every row equals what ``step`` gives one action at a
+        time, bit for bit.
+        """
+        deltas = self._bounded(deltas)
+        low, high = self.geometry.joint_low, self.geometry.joint_high
+        alphas = np.empty((deltas.shape[0] + 1, self.n_dof))
+        alphas[0] = alpha
+        for i, delta in enumerate(deltas):
+            alphas[i + 1] = np.clip(alphas[i] + delta, low, high)
+        effectors = np.empty((alphas.shape[0], effector.shape[0]))
+        effectors[0] = effector
+        effectors[1:] = forward_kinematics_many(self.geometry, alphas[1:])
+        return alphas, effectors
+
+    def step_many(self, alphas: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One micro-action for each of several arms: row i of the new joint
+        states and of their effector positions equals ``step(alphas[i],
+        deltas[i])``'s, bit for bit."""
+        new = np.clip(alphas + self._bounded(deltas), self.geometry.joint_low, self.geometry.joint_high)
+        return new, forward_kinematics_many(self.geometry, new)
+
+    def _bounded(self, deltas: np.ndarray) -> np.ndarray:
+        """A copy of `deltas` with each row longer than ``max_action_norm``
+        scaled onto it as ``step`` scales one action: ``np.vecdot`` runs the
+        same inner product as the 1-d ``@``."""
+        deltas = np.array(deltas, dtype=float)
+        norms = np.sqrt(np.vecdot(deltas, deltas))
+        over = norms > self.max_action_norm
+        deltas[over] *= (self.max_action_norm / norms[over])[:, None]
+        return deltas
 
 
 class SynergyWorld(PlanarWorld):

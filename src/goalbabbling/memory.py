@@ -69,9 +69,7 @@ class NearestIndex:
 
     def add(self, row: np.ndarray) -> int:
         if self._n == self._rows.shape[0]:
-            grown = np.empty((2 * self._n, self.dim), dtype=float)
-            grown[: self._n] = self._rows[: self._n]
-            self._rows = grown
+            self._rows = _grow(self._rows)
         self._rows[self._n] = row
         self._n += 1
         if self._n - self._tree_n >= self.rebuild_every:

@@ -73,7 +73,7 @@ def reference_reach_evolving(
         if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = advance(clip_norm(np.linalg.pinv(jacobian) @ desired, world.max_action_norm))
+            result = advance(np.linalg.pinv(jacobian) @ desired)
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
                 return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
@@ -95,8 +95,9 @@ def reference_reach_evolving(
                 delta = rng.uniform(-budget.explore_scale, budget.explore_scale, world.n_dof)
                 if np.linalg.norm(delta) > world.max_action_norm:
                     events.append("clipped")
-                delta = clip_norm(delta, world.max_action_norm)
-                raw = alpha + delta
+                # The arm bounds and clamps the action itself; the clipped copy
+                # only tells whether this step hits a joint limit.
+                raw = alpha + clip_norm(delta, world.max_action_norm)
                 if np.any(np.clip(raw, world.geometry.joint_low, world.geometry.joint_high) != raw):
                     events.append("clamped")
                 advance(delta)

@@ -116,9 +116,40 @@ def test_goal_babbling_arm_without_exploration_exits_one_quickly(demo_config, tm
     assert "explore_actions must be >= 1" in done.stderr
 
 
-def test_missing_run_dir_exits_two(tmp_path, capsys):
-    assert main(["regions", "--run", str(tmp_path / "absent")]) == 2
-    assert "no region snapshots" in capsys.readouterr().err
+def test_missing_run_dir_exits_one(tmp_path, capsys):
+    assert main(["regions", "--run", str(tmp_path / "absent")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "no region snapshots" in err
+
+
+def _set_first_high_x(run, change):
+    lines = (run / "regions.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[4] = change(float(fields[4]))
+    (run / "regions.csv").write_text("\n".join(lines[:1] + [",".join(fields)] + lines[2:]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda run: (run / "manifest.json").unlink(), "missing manifest.json"),
+        (lambda run: _set_first_high_x(run, lambda x: repr(x - 1.0)), "leaves do not tile"),
+        (lambda run: _set_first_high_x(run, lambda x: "nan"), "leaves do not tile"),
+        (lambda run: (run / "manifest.json").write_text("{not json"), "cannot read"),
+        (lambda run: (run / "manifest.json").write_text("{}"), "cannot read"),
+        (lambda run: (run / "regions.csv").write_text("checkpoint,low_x\n400,abc\n"), "cannot read"),
+    ],
+    ids=["no-manifest", "not-tiling", "nan-leaf", "manifest-not-json", "manifest-without-config", "csv-not-numeric"],
+)
+def test_regions_rejects_bad_input_with_exit_one(demo_config, tmp_path, capsys, damage, message):
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(demo_config), "--out", str(run), "--budget", "100"]) == 0
+    damage(run)
+    capsys.readouterr()
+    assert main(["regions", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (run / "regions_validated.csv").exists()
 
 
 def test_testdb_and_eval_round_trip(demo_config, tmp_path, capsys):
@@ -331,6 +362,25 @@ def test_compare_checkpoints_end_at_the_smallest_budget(demo_config, tmp_path, c
     assert main(argv) == 0
     rows = (out / "curves.csv").read_text().splitlines()[1:]
     assert sorted(row.split(",")[:3] for row in rows) == [["sagg_random", "1", "300"], ["sagg_riac", "1", "300"]]
+
+
+def test_compare_rejects_a_repeated_seed_before_any_run(demo_config, tmp_path, capsys, monkeypatch):
+    import goalbabbling.evaluation as evaluation
+
+    def no_run(job):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(evaluation, "_one_run", no_run)
+    other = tmp_path / "random.json"
+    data = json.loads(demo_config.read_text())
+    data["strategy"] = "sagg_random"
+    other.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["compare", "--configs", str(demo_config), str(other), "--seeds", "1,1,2", "--db-count", "5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed 1 is given more than once" in err
+    assert not out.exists()
 
 
 def test_compare_rejects_configs_of_different_worlds(demo_config, tmp_path, capsys):

@@ -362,11 +362,16 @@ def test_compare_rejects_a_repeated_strategy():
 
 
 @pytest.mark.parametrize(
-    "seeds, goals",
-    [([1], None), ([1], np.zeros((0, 2))), ([], np.zeros((1, 2)))],
-    ids=["no-test-db", "empty-test-db", "no-seeds"],
+    "seeds, goals, message",
+    [
+        ([1], None, "test database"),
+        ([1], np.zeros((0, 2)), "test database"),
+        ([], np.zeros((1, 2)), "no seeds"),
+        ([2, 1, 2, 1], np.zeros((1, 2)), "seed 2 is given more than once"),
+    ],
+    ids=["no-test-db", "empty-test-db", "no-seeds", "repeated-seed"],
 )
-def test_compare_without_test_goals_or_seeds_is_rejected_before_any_run(monkeypatch, seeds, goals):
+def test_compare_without_test_goals_or_seeds_is_rejected_before_any_run(monkeypatch, seeds, goals, message):
     import goalbabbling.evaluation as evaluation
 
     def no_run(job):
@@ -374,7 +379,7 @@ def test_compare_without_test_goals_or_seeds_is_rejected_before_any_run(monkeypa
 
     monkeypatch.setattr(evaluation, "_one_run", no_run)
     base = arm_config(budget=100)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=message):
         compare_strategies([base, dataclasses.replace(base, strategy="sagg_random")], seeds, [100], goals)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from goalbabbling.competence import CompetenceConfig, clip_to_gamma, competence_normalized
-from goalbabbling.config import ConfigError, EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
-from goalbabbling.experiment import ActuatorRiacPolicy, run_experiment, run_with_memory, strategy_goal
+from goalbabbling.config import (
+    STRATEGIES, ConfigError, EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
+)
+from goalbabbling.experiment import ActuatorRiacPolicy, run_with_memory, strategy_goal
 from goalbabbling.regions import interest_of
 from goalbabbling.rng import RngStreams
 from goalbabbling.spaces import Box
@@ -56,18 +58,18 @@ def test_zero_budget_gives_empty_log():
 
 def test_budget_is_spent_exactly():
     for config in (arm_config(), map_config()):
-        log = run_experiment(config)
+        log = run_with_memory(config)[0]
         assert log.attempts[-1].total_actions == config.budget
 
 
 def test_sagg_random_mode_log_is_all_random():
-    log = run_experiment(arm_config(strategy="sagg_random", budget=300))
+    log = run_with_memory(arm_config(strategy="sagg_random", budget=300))[0]
     assert log.goals
     assert all(g.mode == "random" for g in log.goals)
 
 
 def test_sagg_riac_modes_activate_after_burn_in():
-    log = run_experiment(arm_config(budget=1500, burn_in_goals=3))
+    log = run_with_memory(arm_config(budget=1500, burn_in_goals=3))[0]
     modes = [g.mode for g in log.goals]
     assert set(modes[:3]) == {"uniform"}
     assert set(modes[3:]) & {"interest", "low_competence"}
@@ -82,15 +84,15 @@ def test_memory_growth_matches_budget():
 
 def test_conservation_updates_once_per_micro_action():
     config = arm_config(budget=400, conservation=True)
-    log = run_experiment(config)
+    log = run_with_memory(config)[0]
     assert log.en_route_updates == 400
-    off = run_experiment(dataclasses.replace(config, conservation=False))
+    off = run_with_memory(dataclasses.replace(config, conservation=False))[0]
     assert off.en_route_updates == 0
 
 
 def test_gamma_consistent_with_competence_module():
     config = arm_config(budget=800)
-    log = run_experiment(config)
+    log = run_with_memory(config)[0]
     competence = CompetenceConfig(config.reached_tolerance, config.min_start_distance, config.dim_scales())
     assert log.attempts
     for row in log.attempts:
@@ -110,8 +112,8 @@ def test_determinism_fifteen_dof_thousand_steps():
         task_high=(150.0, 150.0),
         burn_in_goals=10,
     )
-    a = run_experiment(config)
-    b = run_experiment(config)
+    a = run_with_memory(config)[0]
+    b = run_with_memory(config)[0]
     assert len(a.attempts) == len(b.attempts)
     for ra, rb in zip(a.attempts, b.attempts):
         assert ra.gamma == rb.gamma
@@ -124,8 +126,8 @@ def test_determinism_fifteen_dof_thousand_steps():
 
 def test_seed_changes_trajectories():
     config = arm_config(budget=300)
-    a = run_experiment(config)
-    b = run_experiment(dataclasses.replace(config, seed=1234))
+    a = run_with_memory(config)[0]
+    b = run_with_memory(dataclasses.replace(config, seed=1234))[0]
     assert any(
         not np.array_equal(ga.point, gb.point) for ga, gb in zip(a.goals, b.goals)
     )
@@ -152,7 +154,7 @@ def test_strategy_goal_rejects_actuator_strategies():
 
 def test_actuator_random_reset_cadence():
     config = arm_config(strategy="actuator_random", budget=500)
-    log = run_experiment(config)
+    log = run_with_memory(config)[0]
     assert len(log.resets) >= 2
     gaps = np.diff(log.resets)
     assert len(set(gaps.tolist())) == 1  # reset exactly every max micro-actions
@@ -250,7 +252,7 @@ def test_actuator_riac_leaf_filter_matches_tree_descent():
 
 def test_checkpoint_snapshots_recorded():
     config = arm_config(budget=400)
-    log = run_experiment(config, checkpoints=[100, 400])
+    log = run_with_memory(config, checkpoints=[100, 400])[0]
     assert [snap.checkpoint for snap in log.snapshots] == [100, 400]
     for snap in log.snapshots:
         area = sum(np.prod(high - low) for low, high, _, _ in snap.leaves)
@@ -265,12 +267,10 @@ def test_checkpoint_past_the_budget_is_rejected_before_the_run(strategy, monkeyp
     monkeypatch.setattr(ExperimentConfig, "build_world", no_world)
     with pytest.raises(ConfigError, match="checkpoint 401 exceeds the budget of 400"):
         run_with_memory(arm_config(strategy=strategy, budget=400), checkpoints=[100, 401])
-    with pytest.raises(ConfigError, match="checkpoint 401"):
-        run_experiment(arm_config(strategy=strategy, budget=400), checkpoints=[401])
 
 
 def test_attempt_counters_are_monotone():
-    log = run_experiment(arm_config(budget=700))
+    log = run_with_memory(arm_config(budget=700))[0]
     totals = [row.total_actions for row in log.attempts]
     assert totals == sorted(totals)
     attempts = [row.attempt for row in log.attempts]
@@ -299,3 +299,18 @@ def test_run_log_fields_outside_the_outputs_are_pinned(name, strategy):
     config = dataclasses.replace(load_config(bundled_config_path(name), seed=3, budget=300), strategy=strategy)
     log, memory = run_with_memory(config)
     assert (log.resets, log.en_route_updates, len(memory)) == PINNED_LOG_FIELDS[(name, strategy)]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_arm_strategy_obeys_the_action_bound(strategy):
+    """No strategy applies a micro-action longer than the arm's
+    `max_action_norm` (0.2), also when its random draws reach past it:
+    `explore_scale` 0.1 on 15 joints draws actions up to 0.1 * sqrt(15),
+    about 0.39, long."""
+    config = load_config(bundled_config_path("arm15_mid"), seed=3, budget=1500)
+    config = dataclasses.replace(config, strategy=strategy, explore_scale=0.1)
+    _, memory = run_with_memory(config)
+    norms = np.linalg.norm(memory._actions[: len(memory)], axis=1)
+    bound = config.environment.max_action_norm
+    assert norms.max() <= bound * (1 + 1e-12)
+    assert norms.max() >= bound * (1 - 1e-9)  # the draws do reach the bound

@@ -1,11 +1,13 @@
-"""Behaviour lock: golden sha256 digests of `run` outputs.
+"""Behaviour lock: golden sha256 digests of `run` and `compare` outputs.
 
 Every bundled config runs every strategy at a small budget with a test
 database and two evaluation checkpoints.  The digest covers every output
 file except `manifest.json` (which records the config path), so a change
 that alters any logged attempt, goal, region, evaluation or memory row
-fails here.  The digests hold for a given numpy/BLAS build; a change that
-alters outputs on purpose re-records them and says why.
+fails here.  One `compare` of three strategies on the 2-DOF arm is pinned
+the same way, over its three CSV tables.  The digests hold for a given
+numpy/BLAS build; a change that alters outputs on purpose re-records them
+and says why.
 """
 import dataclasses
 import hashlib
@@ -64,3 +66,24 @@ def test_run_outputs_match_golden_digest(name, strategy, tmp_path):
     assert main(args) == 0
     assert len((out / "evaluations.csv").read_text().splitlines()) == 3
     assert _digest(out) == GOLDEN[f"{name}/{strategy}"]
+
+
+# `compare` outputs: goal babbling against motor babbling on the 2-DOF arm.
+COMPARE_STRATEGIES = ("sagg_riac", "sagg_random", "actuator_riac")
+COMPARE_GOLDEN = "e8f1e7a400d2b6c936e39e51890e5ab64f4d69b133533f110a03e43f260d5d02"
+
+
+def test_compare_outputs_match_golden_digest(tmp_path):
+    paths = []
+    for strategy in COMPARE_STRATEGIES:
+        config = dataclasses.replace(
+            load_config(bundled_config_path("arm2_demo"), budget=1000), strategy=strategy, burn_in_goals=10
+        )
+        path = tmp_path / f"{strategy}.json"
+        path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+        paths.append(str(path))
+    out = tmp_path / "compare"
+    args = ["compare", "--configs", *paths, "--seeds", "1,2,3", "--checkpoints", "500,1000", "--db-count", "10"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["curves.csv", "fraction.csv", "manifest.json", "significance.csv"]
+    assert _digest(out) == COMPARE_GOLDEN

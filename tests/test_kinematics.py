@@ -121,6 +121,33 @@ def test_step_with_start_effector_equals_step_without(joint_limit):
     assert (clamped > 100) == (joint_limit < 1.0)
 
 
+@pytest.mark.parametrize("joint_limit", [math.pi, 0.4])  # 0.4 clamps most steps
+def test_step_bounds_long_actions_as_its_batch_forms_do_bit_for_bit(joint_limit):
+    world = ArmWorld(ArmGeometry.golden_links(15, total_length=50.0, joint_limit=joint_limit), rest_angle=0.0)
+    rng = np.random.default_rng(5)
+    # Mostly longer than max_action_norm (0.2); zero rows stay zero.
+    deltas = rng.uniform(-0.15, 0.15, (64, world.n_dof))
+    deltas[::16] = 0.0
+    alphas = rng.uniform(-joint_limit, joint_limit, (64, world.n_dof))
+    drawn = deltas.copy()
+    many_alphas, many_effectors = world.step_many(alphas, deltas)
+    start = world.rest_state()
+    seq_alphas, seq_effectors = world.step_sequence(start, deltas, world.rest_effector())
+    assert np.array_equal(deltas, drawn)  # the batch forms leave their input alone
+    alpha, effector = start, world.rest_effector()
+    for i, delta in enumerate(deltas):
+        one = world.step(alphas[i], delta)
+        assert one.alpha.tobytes() == many_alphas[i].tobytes()
+        assert one.effector_after.tobytes() == many_effectors[i].tobytes()
+        applied = one.alpha - alphas[i]
+        assert math.sqrt(float(applied @ applied)) <= world.max_action_norm * (1 + 1e-12)
+        walked = world.step(alpha, delta, effector)
+        assert walked.alpha.tobytes() == seq_alphas[i + 1].tobytes()
+        assert walked.effector_after.tobytes() == seq_effectors[i + 1].tobytes()
+        alpha, effector = walked.alpha, walked.effector_after
+    assert np.linalg.norm(deltas, axis=1).max() > 2 * world.max_action_norm
+
+
 def test_step_composition_is_linear_in_state_without_clamping():
     world = ArmWorld(ArmGeometry.equal_links(3, total_length=50.0))
     delta = np.array([0.01, -0.02, 0.015])
