@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +43,32 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The one CSV writer: a header row, then one row per item of `rows`;
+    creates the file's directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _read_csv(path, what: str) -> tuple[list[str], np.ndarray]:
+    """The one CSV reader: the header and a (rows x columns) float table of
+    finite values; blank lines are skipped.  Raises ``ConfigError`` naming
+    `what` and `path`."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, [])
+            rows = [[float(v) for v in row] for row in reader if row]
+        table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{what} {path}: data row {bad[0] + 1} holds a non-finite value")
+    return header, table
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -57,6 +77,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} must hold at least one integer, got {text!r}")
     if any(value < 0 for value in values):
         raise ConfigError(f"{flag} must not hold negative values, got {text!r}")
     return values
@@ -78,7 +100,6 @@ def _parse_checkpoints(text: str, budget: int) -> list[int]:
 
 
 def write_run_outputs(log: RunLog, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "attempts.csv",
         [
@@ -127,41 +148,27 @@ def _column_summary(header: list[str]) -> str:
 
 def _load_test_goals(path: str, world) -> np.ndarray:
     """The test database as a (goals x effect_dim) array of finite points."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file is an empty database
-            goals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read test database {path}: {exc}") from exc
-    if goals.size == 0:
-        return goals.reshape(0, world.effect_dim)
-    if goals.shape[1] != world.effect_dim:
+    header, goals = _read_csv(path, "test database")
+    if len(header) != world.effect_dim:
         raise ConfigError(
-            f"test database {path} has {goals.shape[1]} columns; goals in this world have {world.effect_dim}"
+            f"test database {path} has {len(header)} columns; goals in this world have {world.effect_dim}"
         )
-    if not np.isfinite(goals).all():
-        raise ConfigError(f"test database {path} holds non-finite coordinates")
+    if goals.shape[0] == 0:
+        raise ConfigError(f"test database {path} holds no goals")
     return goals
 
 
 def _load_memory(path: str, config: ExperimentConfig, world):
     """The saved memory, after checking its columns against the config's world."""
-    adapter = world_adapter(config, world)
-    expected = adapter.memory_class.csv_header(world.geometry.n_dof, world.effect_dim)
-    try:
-        with open(path, newline="") as f:
-            header = next(csv.reader(f), [])
-    except OSError as exc:
-        raise ConfigError(f"cannot read memory {path}: {exc}") from exc
-    if header != expected:
+    memory = world_adapter(config, world).new_memory()
+    header, rows = _read_csv(path, "memory")
+    if header != memory.header():
         raise ConfigError(
             f"memory {path} has columns {_column_summary(header)}; "
-            f"the config's world needs {_column_summary(expected)}"
+            f"the config's world needs {_column_summary(memory.header())}"
         )
-    try:
-        return adapter.memory_class.load_csv(path, **adapter.memory_options)
-    except ValueError as exc:
-        raise ConfigError(f"cannot read memory {path}: {exc}") from exc
+    memory.insert_rows(rows)
+    return memory
 
 
 def cmd_run(args) -> int:
@@ -170,9 +177,8 @@ def cmd_run(args) -> int:
     checkpoints = _parse_checkpoints(args.checkpoints, config.budget) if args.checkpoints else [config.budget]
     test_goals = _load_test_goals(args.testdb, config.build_world()) if args.testdb else None
     log, memory = run_with_memory(config, checkpoints=checkpoints, test_goals=test_goals)
-    out.mkdir(parents=True, exist_ok=True)
     write_run_outputs(log, out)
-    memory.dump_csv(out / "memory.csv")
+    _write_csv(out / "memory.csv", memory.header(), memory.table())
     _write_manifest(
         out, {"config": config.to_dict(), "checkpoints": checkpoints, "seed": config.seed, "budget": config.budget}
     )
@@ -205,7 +211,6 @@ def cmd_compare(args) -> int:
     world = configs[0].build_world()
     goals = make_test_db(world, args.db_count, args.db_seed)
     result = compare_strategies(configs, seeds, checkpoints, goals, n_jobs=args.jobs)
-    out.mkdir(parents=True, exist_ok=True)
     _write_records(out / "curves.csv", CurvePoint, result.curves)
     _write_records(out / "significance.csv", SignificanceRow, result.significance)
     _write_records(out / "fraction.csv", FractionRow, result.fractions)
@@ -231,36 +236,37 @@ def cmd_regions(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"missing manifest.json under {run_dir}")
+    header, table = _read_csv(source, "region snapshots")
     try:
         config = json.loads(manifest_path.read_text(encoding="utf-8"))["config"]
         task_low, task_high = config["task_low"], config["task_high"]
         area = (task_high[0] - task_low[0]) * (task_high[1] - task_low[1])
-        with open(source, newline="") as f:
-            rows = list(csv.DictReader(f))
-        covered: dict[str, float] = {}
-        for row in rows:
-            leaf = (float(row["high_x"]) - float(row["low_x"])) * (float(row["high_y"]) - float(row["low_y"]))
-            covered[row["checkpoint"]] = covered.get(row["checkpoint"], 0.0) + leaf
+        checkpoints, low_x, low_y, high_x, high_y = (
+            table[:, header.index(name)] for name in ("checkpoint", "low_x", "low_y", "high_x", "high_y")
+        )
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise ConfigError(f"cannot read the region snapshots under {run_dir}: {exc!r}") from exc
+    covered: dict[int, float] = {}
+    for c, leaf in zip(checkpoints.astype(int).tolist(), ((high_x - low_x) * (high_y - low_y)).tolist()):
+        covered[c] = covered.get(c, 0.0) + leaf
     for checkpoint, total in covered.items():
         # A NaN total fails the test too.
         if not abs(total - area) <= 1e-6 * max(area, 1.0):
             raise ConfigError(f"checkpoint {checkpoint}: leaves do not tile the task space")
     destination = Path(args.out) if args.out else run_dir / "regions_validated.csv"
-    destination.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    destination.write_bytes(source.read_bytes())
     print(f"{len(covered)} checkpoint(s) validated: {destination}")
     return 0
 
 
 def cmd_testdb(args) -> int:
     config = load_config(args.config)
-    if args.count < 0:
-        raise ConfigError(f"--count must be >= 0, got {args.count}")
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     world = config.build_world()
     goals = make_test_db(world, args.count, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, ["x", "y"], ([g[0], g[1]] for g in goals))
     print(f"wrote {len(goals)} goals: {out}")
     return 0

@@ -13,9 +13,9 @@ exploration strategies are supported:
 
 Each family has one loop, ``_run_goal_babbling`` or ``_run_motor_babbling``,
 which runs in either world through a world adapter (``world_adapter``).  The
-adapter alone knows the world's memory class and options, the state an
-action starts from, when it goes back to rest and how that is logged, where
-a goal attempt starts, which reach runs (``reach_evolving`` on the arm,
+adapter alone builds the world's memory (``new_memory``) and knows the state
+an action starts from, when it goes back to rest and how that is logged,
+where a goal attempt starts, which reach runs (``reach_evolving`` on the arm,
 ``reach_fixed`` on the episodic map, looked up here at call time), how a
 snapshot of the learner reaches for test goals in pure exploitation
 (``exploit``), and for motor babbling the action box, the random draw, the
@@ -320,12 +320,8 @@ class _WorldAdapter:
     state_dim = 0
     state = None
 
-    def __init__(self, config: ExperimentConfig, world, memory_class: type, **memory_options):
+    def __init__(self, config: ExperimentConfig, world):
         self.config, self.world = config, world
-        self.memory_class, self.memory_options = memory_class, memory_options
-
-    def new_memory(self):
-        return self.memory_class(self.world.geometry.n_dof, self.world.effect_dim, **self.memory_options)
 
     def begin(self, counter: int, used: int, log: RunLog) -> None:
         """Called before each goal-babbling attempt (`counter` counts them)
@@ -334,8 +330,7 @@ class _WorldAdapter:
 
 class _ArmAdapter(_WorldAdapter):
     def __init__(self, config: ExperimentConfig, world: ArmWorld):
-        options = dict(neighbors=config.regression_neighbors, support_radius=config.support_radius)
-        super().__init__(config, world, EvolvingMemory, **options)
+        super().__init__(config, world)
         self.state_dim = world.n_dof
         self.state, self.effector = world.rest_state(), world.rest_effector()
         if config.strategy in (SAGG_RIAC, SAGG_RANDOM):
@@ -344,6 +339,13 @@ class _ArmAdapter(_WorldAdapter):
             # The budgeted step count of a reach to the farthest eligible goal.
             farthest = config.task_box.farthest_distance(self.effector)
             self.period = max(1, int(math.ceil(config.timeout_factor * farthest / config.velocity)))
+
+    def new_memory(self) -> EvolvingMemory:
+        config = self.config
+        return EvolvingMemory(
+            self.world.n_dof, self.world.effect_dim,
+            neighbors=config.regression_neighbors, support_radius=config.support_radius,
+        )
 
     def begin(self, counter: int, used: int, log: RunLog) -> None:
         if rest_reset_policy(counter, self.period):
@@ -387,9 +389,15 @@ class _ArmAdapter(_WorldAdapter):
 
 class _MapAdapter(_WorldAdapter):
     def __init__(self, config: ExperimentConfig, world: SynergyWorld):
-        options = dict(inverse_candidates=config.inverse_candidates, inverse_neighborhood=config.inverse_neighborhood)
-        super().__init__(config, world, FixedMemory, **options)
+        super().__init__(config, world)
         self.rest = world.rest_effect()
+
+    def new_memory(self) -> FixedMemory:
+        config = self.config
+        return FixedMemory(
+            self.world.param_dim, self.world.effect_dim,
+            inverse_candidates=config.inverse_candidates, inverse_neighborhood=config.inverse_neighborhood,
+        )
 
     def position(self) -> np.ndarray:
         return self.rest

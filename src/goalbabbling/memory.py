@@ -16,8 +16,6 @@ Two memory flavours exist:
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -358,30 +356,23 @@ class EvolvingMemory:
             pinvs[group] = np.linalg.pinv(_fit_ridge(self._actions[keep], self._effects[keep], self.ridge))
         return pinvs, fitted
 
-    @staticmethod
-    def csv_header(context_dim: int, effect_dim: int) -> list[str]:
+    def header(self) -> list[str]:
+        """The column names of ``table()``."""
         return (
-            [f"context_{i}" for i in range(context_dim)]
-            + [f"action_{i}" for i in range(context_dim)]
-            + [f"effect_{i}" for i in range(effect_dim)]
+            [f"context_{i}" for i in range(self.context_dim)]
+            + [f"action_{i}" for i in range(self.context_dim)]
+            + [f"effect_{i}" for i in range(self.effect_dim)]
         )
 
-    def dump_csv(self, path) -> None:
-        _dump_csv(
-            path,
-            self.csv_header(self.context_dim, self.effect_dim),
-            np.hstack([self._index.points, self._actions[: len(self)], self._effects[: len(self)]]),
-        )
+    def table(self) -> np.ndarray:
+        """One (context, action, effect-change) row per exemplar, in insert order."""
+        return np.hstack([self._index.points, self._actions[: len(self)], self._effects[: len(self)]])
 
-    @classmethod
-    def load_csv(cls, path, **kwargs) -> "EvolvingMemory":
-        header, rows = _load_csv(path)
-        context_dim = sum(name.startswith("context_") for name in header)
-        effect_dim = sum(name.startswith("effect_") for name in header)
-        memory = cls(context_dim, effect_dim, **kwargs)
+    def insert_rows(self, rows: np.ndarray) -> None:
+        """Insert every row of a ``table()``."""
+        c = self.context_dim
         for row in rows:
-            memory.insert(row[:context_dim], row[context_dim : 2 * context_dim], row[2 * context_dim :])
-        return memory
+            self.insert(row[:c], row[c : 2 * c], row[2 * c :])
 
 
 class FixedMemory:
@@ -488,21 +479,18 @@ class FixedMemory:
             predicted[row] = param_center + inverse @ (goals[row] - effect_center)
         return predicted, nearest
 
-    @staticmethod
-    def csv_header(param_dim: int, effect_dim: int) -> list[str]:
-        return [f"params_{i}" for i in range(param_dim)] + [f"effect_{i}" for i in range(effect_dim)]
+    def header(self) -> list[str]:
+        """The column names of ``table()``."""
+        return [f"params_{i}" for i in range(self.param_dim)] + [f"effect_{i}" for i in range(self.effect_dim)]
 
-    def dump_csv(self, path) -> None:
-        _dump_csv(path, self.csv_header(self.param_dim, self.effect_dim), np.hstack([self.params, self.effects]))
+    def table(self) -> np.ndarray:
+        """One (params, effect) row per exemplar, in insert order."""
+        return np.hstack([self.params, self.effects])
 
-    @classmethod
-    def load_csv(cls, path, **kwargs) -> "FixedMemory":
-        header, rows = _load_csv(path)
-        param_dim = sum(name.startswith("params_") for name in header)
-        memory = cls(param_dim, len(header) - param_dim, **kwargs)
+    def insert_rows(self, rows: np.ndarray) -> None:
+        """Insert every row of a ``table()``."""
         for row in rows:
-            memory.insert(row[:param_dim], row[param_dim:])
-        return memory
+            self.insert(row[: self.param_dim], row[self.param_dim :])
 
 
 def _grow(array: np.ndarray) -> np.ndarray:
@@ -510,23 +498,3 @@ def _grow(array: np.ndarray) -> np.ndarray:
     grown[: array.shape[0]] = array
     return grown
 
-
-def _dump_csv(path, header: list[str], rows: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _load_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader], dtype=float)
-    if rows.size == 0:
-        rows = rows.reshape(0, len(header))
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise ValueError(f"data row {bad[0] + 1} holds a non-finite value")
-    return header, rows

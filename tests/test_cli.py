@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from goalbabbling.cli import main
+from goalbabbling.cli import _read_csv, _write_csv, main
 from goalbabbling.config import bundled_config_path
 
 
@@ -134,7 +136,7 @@ def _set_first_high_x(run, change):
     [
         (lambda run: (run / "manifest.json").unlink(), "missing manifest.json"),
         (lambda run: _set_first_high_x(run, lambda x: repr(x - 1.0)), "leaves do not tile"),
-        (lambda run: _set_first_high_x(run, lambda x: "nan"), "leaves do not tile"),
+        (lambda run: _set_first_high_x(run, lambda x: "nan"), "data row 1 holds a non-finite value"),
         (lambda run: (run / "manifest.json").write_text("{not json"), "cannot read"),
         (lambda run: (run / "manifest.json").write_text("{}"), "cannot read"),
         (lambda run: (run / "regions.csv").write_text("checkpoint,low_x\n400,abc\n"), "cannot read"),
@@ -152,6 +154,14 @@ def test_regions_rejects_bad_input_with_exit_one(demo_config, tmp_path, capsys, 
     assert not (run / "regions_validated.csv").exists()
 
 
+def test_regions_out_creates_its_directory(demo_config, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(demo_config), "--out", str(run), "--budget", "100"]) == 0
+    copy = tmp_path / "new" / "dir" / "x.csv"
+    assert main(["regions", "--run", str(run), "--out", str(copy)]) == 0
+    assert copy.read_bytes() == (run / "regions.csv").read_bytes()
+
+
 def test_testdb_and_eval_round_trip(demo_config, tmp_path, capsys):
     db = tmp_path / "db.csv"
     assert main(["testdb", "--config", str(demo_config), "--count", "20", "--seed", "77", "--out", str(db)]) == 0
@@ -165,6 +175,33 @@ def test_testdb_and_eval_round_trip(demo_config, tmp_path, capsys):
     assert main(["eval", "--config", str(demo_config), "--memory", str(out / "memory.csv"), "--testdb", str(db)]) == 0
     printed = capsys.readouterr().out.strip()
     assert float(printed) >= 0.0
+
+
+@pytest.mark.parametrize("config_name", ["arm2_demo", "map8_mid"])
+def test_eval_of_a_saved_memory_prints_the_runs_last_error(config_name, tmp_path, capsys):
+    config = str(bundled_config_path(config_name))
+    db, out = tmp_path / "db.csv", tmp_path / "run"
+    assert main(["testdb", "--config", config, "--count", "20", "--seed", "999983", "--out", str(db)]) == 0
+    argv = ["run", "--config", config, "--out", str(out), "--budget", "1500", "--checkpoints", "700,1500"]
+    assert main(argv + ["--testdb", str(db)]) == 0
+    last_error = (out / "evaluations.csv").read_text().splitlines()[-1].split(",")[-1]
+    capsys.readouterr()
+    assert main(["eval", "--config", config, "--memory", str(out / "memory.csv"), "--testdb", str(db)]) == 0
+    assert capsys.readouterr().out == last_error + "\n"
+
+
+def test_header_only_test_db_is_rejected_by_run_and_eval(demo_config, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(demo_config), "--out", str(run), "--budget", "50"]) == 0
+    db = tmp_path / "db.csv"
+    db.write_text("x,y\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(demo_config), "--memory", str(run / "memory.csv"), "--testdb", str(db)]) == 1
+    assert "holds no goals" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(demo_config), "--out", str(out), "--testdb", str(db)]) == 1
+    assert "holds no goals" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_rejects_test_db_with_wrong_columns(demo_config, tmp_path, capsys):
@@ -327,10 +364,14 @@ def test_output_root_env_var(demo_config, tmp_path, monkeypatch):
         (["run", "--config", "{demo}", "--budget", "100", "--checkpoints", "50,5000"], "--checkpoints"),
         (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--checkpoints", "400,401"], "--checkpoints"),
         (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-count", "0"], "--db-count"),
+        (["testdb", "--config", "{demo}", "--count", "0", "--seed", "1", "--out", "{tmp}/db.csv"], "--count"),
+        (["run", "--config", "{demo}", "--checkpoints", ","], "--checkpoints"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--checkpoints", ","], "--checkpoints"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", ","], "--seeds"),
     ],
     ids=["checkpoints-text", "checkpoints-negative", "seeds-text", "count-negative", "db-count-negative",
          "one-config", "duplicate-strategy", "run-checkpoint-past-budget", "compare-checkpoint-past-budget",
-         "db-count-zero"],
+         "db-count-zero", "count-zero", "run-checkpoints-empty", "compare-checkpoints-empty", "seeds-empty"],
 )
 def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys, args, flag):
     other = tmp_path / "random.json"
@@ -394,3 +435,29 @@ def test_compare_rejects_configs_of_different_worlds(demo_config, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "differ in environment" in err
     assert not out.exists()
+
+
+_MAX, _NORMAL = float(np.finfo(float).max), float(np.finfo(float).smallest_normal)
+# -0.0, the smallest and largest subnormals, the smallest normal and values at the float maximum.
+_EDGES = [
+    -0.0, 5e-324, -5e-324, float(np.nextafter(_NORMAL, 0.0)), _NORMAL, 0.0, _MAX, -_MAX, float(np.nextafter(_MAX, 0.0))
+]
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shaped=st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.lists(_VALUES, min_size=n, max_size=n), max_size=8))
+    )
+)
+@example(shaped=(3, [_EDGES[:3], _EDGES[3:6], _EDGES[6:]]))
+def test_written_tables_read_back_bit_for_bit(tmp_path_factory, shaped):
+    n, rows = shaped
+    table = np.array(rows, dtype=float).reshape(len(rows), n)
+    header = [f"column_{i}" for i in range(n)]
+    path = tmp_path_factory.getbasetemp() / "round_trip" / "table.csv"
+    _write_csv(path, header, table)
+    read_header, read = _read_csv(path, "table")
+    assert read_header == header
+    assert read.shape == table.shape and read.tobytes() == table.tobytes()

@@ -594,28 +594,31 @@ def test_nearest_on_fixed_memory_keys_by_effect():
     np.testing.assert_array_equal(memory.params[i], [0.9, 0.9])
 
 
-# ----------------------------------------------------------------- csv round trip
+# --------------------------------------------------------------- table round trip
 
-def test_evolving_memory_csv_round_trip(tmp_path):
+def test_evolving_memory_csv_round_trip():
     rng = np.random.default_rng(12)
     memory = EvolvingMemory(3, 2)
     for _ in range(20):
         memory.insert(rng.normal(size=3), rng.normal(size=3), rng.normal(size=2))
-    path = tmp_path / "memory.csv"
-    memory.dump_csv(path)
-    loaded = EvolvingMemory.load_csv(path)
+    assert memory.header() == [f"context_{i}" for i in range(3)] + [f"action_{i}" for i in range(3)] + [
+        "effect_0", "effect_1"
+    ]
+    loaded = EvolvingMemory(3, 2)
+    loaded.insert_rows(memory.table())
     assert len(loaded) == 20
     np.testing.assert_array_equal(loaded._index.points, memory._index.points)
+    np.testing.assert_array_equal(loaded.table(), memory.table())
 
 
-def test_fixed_memory_csv_round_trip(tmp_path):
+def test_fixed_memory_csv_round_trip():
     rng = np.random.default_rng(13)
     memory = FixedMemory(4, 2)
     for _ in range(15):
         memory.insert(rng.random(4), rng.normal(size=2))
-    path = tmp_path / "memory.csv"
-    memory.dump_csv(path)
-    loaded = FixedMemory.load_csv(path)
+    assert memory.header() == [f"params_{i}" for i in range(4)] + ["effect_0", "effect_1"]
+    loaded = FixedMemory(4, 2)
+    loaded.insert_rows(memory.table())
     assert len(loaded) == 15
     np.testing.assert_array_equal(loaded.params, memory.params)
     np.testing.assert_array_equal(loaded.effects, memory.effects)
