@@ -5,7 +5,8 @@ Subcommands: ``run`` (one experiment), ``eval`` (score a saved memory),
 re-emit region snapshots), ``testdb`` (generate an evaluation goal set).
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.  Every
-run directory gets a ``manifest.json`` sufficient to reproduce it.
+run directory gets a ``manifest.json`` sufficient to reproduce it.  Every
+input, ``--out`` included, is checked before any work starts.
 """
 from __future__ import annotations
 
@@ -32,6 +33,21 @@ def _out_dir(arg: str | None, default_name: str) -> Path:
     if arg is not None:
         return Path(arg)
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / default_name
+
+
+def _checked_out(path: Path, directory: bool) -> Path:
+    """`path` once it is known that `--out` can be written there: as a
+    directory when `directory`, else as a file.  Checked before any work,
+    so a bad `--out` ends with a ``ConfigError`` instead of lost work; the
+    writers create what is missing only at the end."""
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"--out {path} {'is not a directory' if directory else 'is a directory'}")
+    parent = path.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir():
+        raise ConfigError(f"--out {path} lies under {parent}, which is not a directory")
+    return path
 
 
 def _fmt(value) -> str:
@@ -173,9 +189,9 @@ def _load_memory(path: str, config: ExperimentConfig, world):
 
 def cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed, budget=args.budget)
-    out = _out_dir(args.out, f"{Path(args.config).stem}_seed{config.seed}")
     checkpoints = _parse_checkpoints(args.checkpoints, config.budget) if args.checkpoints else [config.budget]
     test_goals = _load_test_goals(args.testdb, config.build_world()) if args.testdb else None
+    out = _checked_out(_out_dir(args.out, f"{Path(args.config).stem}_seed{config.seed}"), directory=True)
     log, memory = run_with_memory(config, checkpoints=checkpoints, test_goals=test_goals)
     write_run_outputs(log, out)
     _write_csv(out / "memory.csv", memory.header(), memory.table())
@@ -207,7 +223,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--db-count must be >= 1, got {args.db_count}")
     budget = min(c.budget for c in configs)
     checkpoints = _parse_checkpoints(args.checkpoints, budget) if args.checkpoints else default_checkpoints(budget)
-    out = _out_dir(args.out, "compare")
+    out = _checked_out(_out_dir(args.out, "compare"), directory=True)
     world = configs[0].build_world()
     goals = make_test_db(world, args.db_count, args.db_seed)
     result = compare_strategies(configs, seeds, checkpoints, goals, n_jobs=args.jobs)
@@ -230,6 +246,7 @@ def cmd_compare(args) -> int:
 
 def cmd_regions(args) -> int:
     run_dir = Path(args.run)
+    destination = _checked_out(Path(args.out) if args.out else run_dir / "regions_validated.csv", directory=False)
     source = run_dir / "regions.csv"
     if not source.exists():
         raise ConfigError(f"no region snapshots found under {run_dir}")
@@ -253,7 +270,6 @@ def cmd_regions(args) -> int:
         # A NaN total fails the test too.
         if not abs(total - area) <= 1e-6 * max(area, 1.0):
             raise ConfigError(f"checkpoint {checkpoint}: leaves do not tile the task space")
-    destination = Path(args.out) if args.out else run_dir / "regions_validated.csv"
     destination.parent.mkdir(parents=True, exist_ok=True)
     destination.write_bytes(source.read_bytes())
     print(f"{len(covered)} checkpoint(s) validated: {destination}")
@@ -264,9 +280,9 @@ def cmd_testdb(args) -> int:
     config = load_config(args.config)
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    out = _checked_out(Path(args.out), directory=False)
     world = config.build_world()
     goals = make_test_db(world, args.count, args.seed)
-    out = Path(args.out)
     _write_csv(out, ["x", "y"], ([g[0], g[1]] for g in goals))
     print(f"wrote {len(goals)} goals: {out}")
     return 0

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ class SignificanceRow:
     strategy_a: str
     strategy_b: str
     p_less: float  # rank test of "errors of a < errors of b"
+    share_a_lower: float  # share of (a, b) seed pairs with a's error lower, ties counted half
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,17 @@ def reachable_fraction(log: RunLog, window: tuple[float, float] = (0.0, 1.0)) ->
     return sum(g.reachable for g in window_goals) / len(window_goals)
 
 
+def rank_test(errors_a: np.ndarray, errors_b: np.ndarray) -> tuple[float, float]:
+    """The one-sided p of a Mann-Whitney U test of "errors of a < errors
+    of b", and the share of (a, b) pairs in which a's error is lower, ties
+    counted half: 1 - U / (n_a n_b), from the same test's U."""
+    # scipy.stats takes about a second to import; only comparisons need it.
+    from scipy.stats import mannwhitneyu
+
+    test = mannwhitneyu(errors_a, errors_b, alternative="less")
+    return float(test.pvalue), 1.0 - float(test.statistic) / (len(errors_a) * len(errors_b))
+
+
 def _one_run(args) -> RunLog:
     config, checkpoints, goals = args
     # Only the log goes back to the caller (across processes, with n_jobs > 1).
@@ -161,10 +175,9 @@ def compare_strategies(
 
     Results are independent of `n_jobs`: each run is one (strategy, seed)
     pair, so seeds may not repeat, and runs are aggregated in sorted order.
+    As each run finishes, one line on stderr names it, with the seconds
+    since the runs started.
     """
-    # scipy.stats takes about a second to import; only comparisons need it.
-    from scipy.stats import mannwhitneyu
-
     if len(configs) < 2:
         raise ConfigError("need at least two strategies to compare")
     if len(set(c.strategy for c in configs)) != len(configs):
@@ -188,11 +201,26 @@ def compare_strategies(
     runs = sorted((config.strategy, seed) for config in configs for seed in seeds)
     config_of = {config.strategy: config for config in configs}
     jobs = [(dataclasses.replace(config_of[s], seed=seed), tuple(checkpoints), test_goals) for s, seed in runs]
+    started, finished = time.perf_counter(), 0
+
+    def report(strategy: str, seed: int) -> None:
+        nonlocal finished
+        finished += 1
+        elapsed = time.perf_counter() - started
+        print(f"[{finished}/{len(runs)}] {strategy} seed {seed} finished at {elapsed:.1f} s", file=sys.stderr)
+
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            logs = list(pool.map(_one_run, jobs))
+            futures = {pool.submit(_one_run, job): run for job, run in zip(jobs, runs)}
+            for future in as_completed(futures):
+                future.result()  # a failed run raises here, before it is reported
+                report(*futures[future])
+            logs = [future.result() for future in futures]
     else:
-        logs = [_one_run(job) for job in jobs]
+        logs = []
+        for job, run in zip(jobs, runs):
+            logs.append(_one_run(job))
+            report(*run)
 
     curves = [
         CurvePoint(strategy, seed, record.checkpoint, record.used, record.error)
@@ -213,8 +241,8 @@ def compare_strategies(
             for b in strategies:
                 if a == b:
                     continue
-                p = float(mannwhitneyu(by_strategy[a], by_strategy[b], alternative="less").pvalue)
-                significance.append(SignificanceRow(checkpoint, a, b, p))
+                p, share = rank_test(by_strategy[a], by_strategy[b])
+                significance.append(SignificanceRow(checkpoint, a, b, p, share))
 
     fractions = [
         FractionRow(

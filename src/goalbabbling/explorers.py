@@ -29,7 +29,7 @@ import numpy as np
 
 from .competence import CompetenceConfig, clip_to_gamma, competence_normalized, scaled_distance, scaled_distances
 from .kinematics import ArmWorld, SynergyWorld
-from .memory import EvolvingMemory, FixedMemory
+from .memory import EvolvingMemory, FixedMemory, pseudo_inverse
 
 REACHED = "reached"
 TIMEOUT = "timeout"
@@ -153,7 +153,7 @@ def reach_evolving(
         if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = world.step(alpha, np.linalg.pinv(jacobian) @ desired, current)
+            result = world.step(alpha, pseudo_inverse(jacobian) @ desired, current)
             _record(alpha, result.alpha, result.displacement, result.effector_after)
             alpha, current = result.alpha, result.effector_after
             steps += 1

@@ -4,7 +4,9 @@ These are the oracles that the block bursts and block hill-climbs of
 ``goalbabbling.explorers`` are checked against, bit for bit, and, with
 ``learn=False`` (nothing inserted), the oracle of the lockstep
 evaluation.  The package's reaches always insert; a test gives them a
-``NoInserts`` memory to compare against ``learn=False``.
+``NoInserts`` memory to compare against ``learn=False``.  The exploit step
+inverts the local Jacobian with the package's ``pseudo_inverse``, as the
+package does, so the oracles check the burst and lockstep logic.
 """
 import math
 
@@ -12,6 +14,7 @@ import numpy as np
 
 from goalbabbling.competence import clip_to_gamma, competence_normalized, scaled_distance
 from goalbabbling.explorers import BLOCKED, REACHED, TIMEOUT, ReachOutcome, euclidean
+from goalbabbling.memory import pseudo_inverse
 
 
 class NoInserts:
@@ -73,7 +76,7 @@ def reference_reach_evolving(
         if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = advance(np.linalg.pinv(jacobian) @ desired)
+            result = advance(pseudo_inverse(jacobian) @ desired)
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
                 return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())

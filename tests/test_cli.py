@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,7 +301,7 @@ def test_compare_command_outputs(demo_config, tmp_path):
     assert curves[0] == "strategy,seed,checkpoint,used,error"
     assert len(curves) == 5  # 2 strategies x 2 seeds x 1 checkpoint
     significance = (out / "significance.csv").read_text().splitlines()
-    assert significance[0] == "checkpoint,strategy_a,strategy_b,p_less"
+    assert significance[0] == "checkpoint,strategy_a,strategy_b,p_less,share_a_lower"
     assert len(significance) == 3
     assert (out / "fraction.csv").exists()
     assert (out / "manifest.json").exists()
@@ -321,7 +322,7 @@ def test_compare_rejects_db_seed_collision(demo_config, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_compare_is_job_count_invariant(demo_config, tmp_path):
+def test_compare_is_job_count_invariant(demo_config, tmp_path, capsys):
     other = tmp_path / "random.json"
     data = json.loads(demo_config.read_text())
     data["strategy"] = "sagg_random"
@@ -329,6 +330,7 @@ def test_compare_is_job_count_invariant(demo_config, tmp_path):
     hashes = []
     for jobs, name in (("1", "j1"), ("2", "j2")):
         out = tmp_path / name
+        capsys.readouterr()
         assert (
             main(
                 [
@@ -340,7 +342,51 @@ def test_compare_is_job_count_invariant(demo_config, tmp_path):
             == 0
         )
         hashes.append(_hash_dir(out))
+        # One progress line per finished (strategy, seed), in finishing order.
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split("] ")[0] for line in lines] == [f"[{i}/4" for i in range(1, 5)]
+        finished = [re.fullmatch(r"\[\d/4\] (\w+) seed (\d) finished at (\d+\.\d) s", line) for line in lines]
+        assert all(finished), lines
+        assert sorted(m.group(1, 2) for m in finished) == [
+            ("sagg_random", "1"), ("sagg_random", "2"), ("sagg_riac", "1"), ("sagg_riac", "2")
+        ]
+        assert [float(m.group(3)) for m in finished] == sorted(float(m.group(3)) for m in finished)
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--config", "{demo}", "--out", "{file}"],
+        ["run", "--config", "{demo}", "--out", "{file}/run"],
+        ["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-count", "5", "--out", "{file}"],
+        ["testdb", "--config", "{demo}", "--seed", "1", "--out", "{dir}"],
+        ["testdb", "--config", "{demo}", "--seed", "1", "--out", "{file}/db.csv"],
+        ["regions", "--run", "{dir}", "--out", "{dir}"],
+    ],
+    ids=["run-file", "run-under-file", "compare-file", "testdb-dir", "testdb-under-file", "regions-dir"],
+)
+def test_unwritable_out_exits_one_before_any_work(demo_config, tmp_path, capsys, monkeypatch, args):
+    import goalbabbling.cli as cli
+    import goalbabbling.evaluation as evaluation
+
+    started = []
+    monkeypatch.setattr(cli, "run_with_memory", lambda *a, **k: started.append("run_with_memory"))
+    monkeypatch.setattr(evaluation, "_one_run", lambda job: started.append("_one_run"))
+    monkeypatch.setattr(cli, "make_test_db", lambda *a, **k: started.append("make_test_db"))
+    other = tmp_path / "random.json"
+    data = json.loads(demo_config.read_text())
+    data["strategy"] = "sagg_random"
+    other.write_text(json.dumps(data))
+    existing_file, existing_dir = tmp_path / "taken.csv", tmp_path / "taken"
+    existing_file.write_text("x,y\n")
+    existing_dir.mkdir()
+    names = dict(demo=demo_config, other=other, file=existing_file, dir=existing_dir)
+    assert main([arg.format(**names) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ")
+    assert started == []
+    assert existing_file.read_text() == "x,y\n" and list(existing_dir.iterdir()) == []
 
 
 def test_output_root_env_var(demo_config, tmp_path, monkeypatch):

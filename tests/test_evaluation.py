@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, mannwhitneyu
 
 from goalbabbling.config import ConfigError, EnvironmentSpec, ExperimentConfig, bundled_config_path, load_config
 from goalbabbling.evaluation import (
@@ -11,6 +11,7 @@ from goalbabbling.evaluation import (
     exploitation_budget,
     exploitation_competence,
     make_test_db,
+    rank_test,
     reachable_fraction,
 )
 from goalbabbling.experiment import GoalEvent, RunLog, run_with_memory
@@ -305,6 +306,23 @@ def test_compare_null_calibration_same_strategy():
     result = compare_strategies([base, twin], [1, 2, 3, 4, 5, 6], [800], goals)
     p_values = [row.p_less for row in result.significance]
     assert all(p > 0.05 for p in p_values) or sum(p > 0.05 for p in p_values) >= len(p_values) / 2
+
+
+@pytest.mark.parametrize(
+    "errors_a, errors_b, lower",
+    [
+        # (1, 2), (1, 4), (2, 4) and (3, 4) lower, (2, 2) a tie: 4.5 of 6.
+        ([1.0, 2.0, 3.0], [2.0, 4.0], 4.5 / 6),
+        ([1.0, 1.0], [1.0, 1.0], 0.5),
+        # (5, 6) lower, (6, 6) twice a tie: 2 of 6.
+        ([5.0, 6.0, 6.0], [1.0, 6.0], 2.0 / 6),
+        ([0.5], [0.7, 0.1], 0.5),
+    ],
+)
+def test_rank_test_share_is_the_hand_counted_share_with_ties_halved(errors_a, errors_b, lower):
+    p, share = rank_test(np.array(errors_a), np.array(errors_b))
+    assert share == pytest.approx(lower, rel=0.0, abs=4 * np.finfo(float).eps)
+    assert p == float(mannwhitneyu(errors_a, errors_b, alternative="less").pvalue)
 
 
 def test_compare_outputs_are_job_count_invariant():

@@ -25,18 +25,18 @@ CHECKPOINTS = "500,2000"
 CONFIGS = ("arm2_demo", "arm15_big", "arm15_mid", "map8_mid")
 
 GOLDEN = {
-    "arm2_demo/sagg_riac": "e1d10938155d319b242ff17530321b3fc62b8fe2f4e81a3431267fc1e15d6010",
-    "arm2_demo/sagg_random": "49ebef3c85f84fc3feb76557b4b99e662d9f6372ad26304d28ef3ffbda555101",
-    "arm2_demo/actuator_random": "eae824e9d867232e82163e52083c09115753ea2b557100915775032d0c817320",
-    "arm2_demo/actuator_riac": "d808ea743f3209919506d61ade3d5d841789a21a31ab3b52c843e838d427f11f",
-    "arm15_big/sagg_riac": "62a618cbe4c6fb6d60b48867d63559870a5bcbffcc0014e99461bc1ba6730b42",
-    "arm15_big/sagg_random": "2aaa70a55656ed7bd12b49674df5256a5f24528648ba72bacd3fd3eaae47e346",
-    "arm15_big/actuator_random": "86e660584bdd797be56260b05c3a175e735b5441323cb82d66f9790955737a2d",
-    "arm15_big/actuator_riac": "c791436b3c45d2c9ae1fadc470b97aa1af33c5e424236aae896269bc9f384412",
-    "arm15_mid/sagg_riac": "d25cb06198fbf97a7534c0172aedb674bc47815ed373c9f44d8b563e9daaa413",
-    "arm15_mid/sagg_random": "2b225591796f961e73e6baac01faa62d22ce712ff2b461f1c02b4e3a09cbed3e",
-    "arm15_mid/actuator_random": "706eab62ef3392316e3830fa1639c57833939b45612e3ab1951148d2dc7e2828",
-    "arm15_mid/actuator_riac": "9f76e4ccf732a25f63d8a008cf36d38a78612bef16103ef8494d54d3c1f931e8",
+    "arm2_demo/sagg_riac": "b5b6eae4cbcb61f27c156a05682790774865adbb262aa4244cfc69095aba5cf1",
+    "arm2_demo/sagg_random": "1dcd16eccc51768ee62d6b0c50302795257176991c3f765fbce2e82327b04a1e",
+    "arm2_demo/actuator_random": "e8d370f78db15442ebca21ff29d2242862187e31900e6e7bf9d6afdcef204298",
+    "arm2_demo/actuator_riac": "d0f3ec9254ce213a7bbd52d0d1b36ec0f247499b12670a78d0a5f62d1de7edde",
+    "arm15_big/sagg_riac": "40523c9be2a717b5015370f7051a7280cdf817ad17dfb9d9118fbe70d04171e3",
+    "arm15_big/sagg_random": "fd95f16ca9225589f05fdfcbe5f7cba751ed480430626b613820536ececd68ef",
+    "arm15_big/actuator_random": "e6b6c2a538c76047254f0c1f165209b136a16f22d9ab92d0b3d59fd16cac52b3",
+    "arm15_big/actuator_riac": "15b4e7d24f3a3fa73ca282339f53b787436b7ef944a05eee9efbc9a1babc6148",
+    "arm15_mid/sagg_riac": "443e3c54846bccac92781fea6674948b6a01e1b5a750cfe79f55ce7f55457973",
+    "arm15_mid/sagg_random": "3d67dd7dc6367eddd38b9034bf882c9e1223059c7b1cc53638e5004e6e91df5f",
+    "arm15_mid/actuator_random": "f66a16c9374db21c22055520e839b1e49fdb42cd3e55dfa92fba7cea104970df",
+    "arm15_mid/actuator_riac": "2dcb4c89f01e3b30a1993121439d7eda4fd77531e9e3e28a928b2cb33395df4f",
     "map8_mid/sagg_riac": "98f5eda671cde5925bd177cc618141f3b69016a1ebf9dca2f09fa35325acfd66",
     "map8_mid/sagg_random": "7ccaa7ef8d75624dc7d0aa443a2868ed40646db1c6c63615fffd647cb572d04b",
     "map8_mid/actuator_random": "360b289f29cfcef2e3d2e9b4990b908ca5f72b2168cd273adc85309a8e827f4b",
@@ -70,7 +70,7 @@ def test_run_outputs_match_golden_digest(name, strategy, tmp_path):
 
 # `compare` outputs: goal babbling against motor babbling on the 2-DOF arm.
 COMPARE_STRATEGIES = ("sagg_riac", "sagg_random", "actuator_riac")
-COMPARE_GOLDEN = "e8f1e7a400d2b6c936e39e51890e5ab64f4d69b133533f110a03e43f260d5d02"
+COMPARE_GOLDEN = "f77baff78e4debb83956912c171a43f071183d0c6a147d24a66f16b56fae595f"
 
 
 def test_compare_outputs_match_golden_digest(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalbabbling import memory as memory_module
-from goalbabbling.memory import EmptyMemoryError, EvolvingMemory, FixedMemory, NearestIndex
+from goalbabbling.memory import EmptyMemoryError, EvolvingMemory, FixedMemory, NearestIndex, _fit_ridge, pseudo_inverse
 
 
 def linear_scan(points, key, k):
@@ -306,21 +306,33 @@ def test_query_many_with_no_keys():
     assert idx.shape == dist.shape == (0, 4)
 
 
-def test_local_pseudo_inverses_equal_single_fits_bitwise():
-    rng = np.random.default_rng(9)
-    memory = EvolvingMemory(3, 2, neighbors=8, support_radius=0.6)
+def _stacked_and_single_fits(dim, neighbors, radius, seed):
+    """`local_pseudo_inverses` over 80 contexts, and per context the single
+    fit and its pseudo-inverse."""
+    rng = np.random.default_rng(seed)
+    memory = EvolvingMemory(dim, 2, neighbors=neighbors, support_radius=radius)
     for _ in range(700):
-        context = rng.uniform(-1.0, 1.0, 3)
-        action = rng.normal(0.0, 0.1, 3)
-        memory.insert(context, action, rng.normal(size=(2, 3)) @ action)
-    contexts = rng.uniform(-1.3, 1.3, (80, 3))
+        context = rng.uniform(-1.0, 1.0, dim)
+        action = rng.normal(0.0, 0.1, dim)
+        memory.insert(context, action, rng.normal(size=(2, dim)) @ action)
+    contexts = rng.uniform(-1.3, 1.3, (80, dim))
     pinvs, fitted = memory.local_pseudo_inverses(contexts)
     assert 0 < fitted.sum() < len(contexts)
     for row, context in enumerate(contexts):
         jacobian = memory.local_jacobian(context)
         assert fitted[row] == (jacobian is not None)
-        expected = np.linalg.pinv(jacobian) if jacobian is not None else np.zeros((3, 2))
+        expected = pseudo_inverse(jacobian) if jacobian is not None else np.zeros((dim, 2))
         assert np.array_equal(pinvs[row], expected)
+
+
+def test_local_pseudo_inverses_equal_single_fits_bitwise():
+    # 3 joints and at least 4 neighbours: the fit solves the 3 x 3 system.
+    _stacked_and_single_fits(3, 8, 0.6, 9)
+
+
+def test_local_pseudo_inverses_equal_single_fits_bitwise_with_support_below_the_dimension():
+    # 15 joints and at most 12 neighbours: the fit solves the s x s system.
+    _stacked_and_single_fits(15, 12, 2.2, 9)
 
 
 def test_insert_nearest_round_trip():
@@ -369,14 +381,14 @@ def test_local_jacobian_recovers_known_linear_map():
 
 def test_pseudo_inverse_of_identity_is_identity():
     jac = np.eye(2)
-    pinv = np.linalg.pinv(jac)
+    pinv = pseudo_inverse(jac)
     np.testing.assert_allclose(pinv, np.eye(2), atol=1e-12)
 
 
 def test_pseudo_inverse_closed_form_row_vector():
     # J = [1 2]: J+ = J^T (J J^T)^-1 = (0.2, 0.4)^T.
     jac = np.array([[1.0, 2.0]])
-    np.testing.assert_allclose(np.linalg.pinv(jac), [[0.2], [0.4]], atol=1e-12)
+    np.testing.assert_allclose(pseudo_inverse(jac), [[0.2], [0.4]], atol=1e-12)
 
 
 def test_memory_models_pair_each_side_with_its_pseudo_inverse():
@@ -388,7 +400,7 @@ def test_memory_models_pair_each_side_with_its_pseudo_inverse():
     jacobian = evolving.local_jacobian(np.zeros(3))
     pinvs, fitted = evolving.local_pseudo_inverses(np.zeros((1, 3)))
     assert fitted.tolist() == [True]
-    np.testing.assert_array_equal(pinvs[0], np.linalg.pinv(jacobian))
+    np.testing.assert_array_equal(pinvs[0], pseudo_inverse(jacobian))
 
 
 def test_local_jacobian_requires_support_within_radius():
@@ -429,9 +441,88 @@ def test_moore_penrose_identities_on_produced_models(rows, cols, seed):
         action = rng.normal(size=cols)
         memory.insert(rng.normal(scale=0.05, size=cols), action, true_j @ action)
     jac = memory.local_jacobian(np.zeros(cols))
-    pinv = np.linalg.pinv(jac)
+    pinv = pseudo_inverse(jac)
     assert np.linalg.norm(jac @ pinv @ jac - jac) < 1e-8
     assert np.linalg.norm(pinv @ jac @ pinv - pinv) < 1e-8
+
+
+# Relative to the largest entry, the closed-form pseudo-inverse may differ
+# from `np.linalg.pinv` by this many eps times the condition number of
+# J J^T (`pseudo_inverse` documents about one).
+_PINV_EPS_FACTOR = 32
+
+
+def _jacobian(rng, cols, condition):
+    """A random 2 x cols J whose J J^T has the given condition number."""
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+    largest = 10.0 ** rng.uniform(-3.0, 3.0)
+    return u @ np.diag([largest, largest / math.sqrt(condition)]) @ v[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=st.integers(2, 40), log2_condition=st.floats(0.0, 19.0), seed=st.integers(0, 10_000))
+def test_pseudo_inverse_matches_pinv_within_the_conditioning_bound(cols, log2_condition, seed):
+    condition = 2.0**log2_condition
+    tolerance = _PINV_EPS_FACTOR * np.finfo(float).eps * condition
+    jac = _jacobian(np.random.default_rng(seed), cols, condition)
+    expected = np.linalg.pinv(jac)
+    assert np.abs(pseudo_inverse(jac) - expected).max() <= tolerance * np.abs(expected).max()
+
+
+def test_rank_deficient_jacobians_take_pinv_exactly():
+    rng = np.random.default_rng(4)
+    row = rng.normal(size=15)
+    deficient = [
+        np.vstack([row, 3.0 * row]),  # collinear actions give parallel rows
+        np.vstack([row, -row / 7.0]),
+        np.vstack([row, np.zeros(15)]),
+        np.zeros((2, 15)),
+        np.vstack([row, 3.0 * row + 1e-12 * rng.normal(size=15)]),
+    ]
+    for jac in deficient:
+        assert np.array_equal(pseudo_inverse(jac), np.linalg.pinv(jac))
+    # In a stack, the same rows still get exactly pinv's answer.
+    stack = np.stack([_jacobian(rng, 15, 4.0), *deficient, _jacobian(rng, 15, 100.0)])
+    pinvs = pseudo_inverse(stack)
+    for i, jac in enumerate(deficient, start=1):
+        assert np.array_equal(pinvs[i], np.linalg.pinv(jac))
+
+
+def test_rank_deficient_neighbourhood_fits_take_pinv():
+    # Every probe moves along one direction: J has parallel rows.
+    rng = np.random.default_rng(5)
+    memory = EvolvingMemory(15, 2, neighbors=12, support_radius=10.0)
+    direction, true_j = rng.normal(size=15), rng.normal(size=(2, 15))
+    for _ in range(12):
+        action = rng.normal() * direction
+        memory.insert(rng.normal(scale=0.01, size=15), action, true_j @ action)
+    jac = memory.local_jacobian(np.zeros(15))
+    assert np.linalg.matrix_rank(jac) == 1
+    assert np.array_equal(pseudo_inverse(jac), np.linalg.pinv(jac))
+
+
+@pytest.mark.parametrize("effect_dim", [1, 2, 3])
+def test_pseudo_inverse_stack_equals_single_rows_bitwise(effect_dim):
+    rng = np.random.default_rng(6)
+    stack = rng.normal(size=(40, effect_dim, 15))
+    stack[::5, -1] = 2.0 * stack[::5, 0]  # some rank-deficient rows
+    pinvs = pseudo_inverse(stack)
+    assert pinvs.shape == (40, 15, effect_dim)
+    for jac, pinv in zip(stack, pinvs):
+        assert np.array_equal(pinv, pseudo_inverse(jac))
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 15), (12, 15), (15, 15), (20, 3)])
+def test_ridge_fit_solves_either_side_of_the_push_through_identity(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    actions, effects = rng.normal(0.0, 0.05, (rows, cols)), rng.normal(size=(rows, 2))
+    ridge = EvolvingMemory.ridge
+    normal = np.linalg.solve(actions.T @ actions + ridge * np.eye(cols), actions.T @ effects).T
+    fit = _fit_ridge(actions, effects, ridge)
+    np.testing.assert_allclose(fit, normal, rtol=1e-6, atol=1e-9 * np.abs(normal).max())
+    stacked = _fit_ridge(np.stack([actions, 2.0 * actions]), np.stack([effects, effects]), ridge)
+    assert np.array_equal(stacked[0], fit)
 
 
 # ------------------------------------------------------------- fixed context
