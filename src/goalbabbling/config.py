@@ -79,8 +79,9 @@ class EnvironmentSpec:
         _check_types(self, "environment.")
         if self.type not in (ENV_ARM, ENV_SYNERGY):
             raise ConfigError(f"environment.type must be '{ENV_ARM}' or '{ENV_SYNERGY}', got {self.type!r}")
-        if self.n_dof < 1:
-            raise ConfigError("environment.n_dof must be >= 1")
+        # The memory and the arm keep n_dof floats per row; the paper's arms have 15.
+        if not 1 <= self.n_dof <= 1000:
+            raise ConfigError("environment.n_dof must be between 1 and 1000")
         if self.link_layout not in ("equal", "golden"):
             raise ConfigError(f"environment.link_layout must be 'equal' or 'golden', got {self.link_layout!r}")
         if self.total_length <= 0:
@@ -153,6 +154,12 @@ class ExperimentConfig:
             raise ConfigError("task_low/task_high must have 2 components")
         if any(h <= l for l, h in zip(self.task_low, self.task_high)):
             raise ConfigError("task_high must exceed task_low componentwise")
+        # Task-space distances get squared, so the farthest one (a box corner
+        # to the far side of the arm's reach) and each extent must square finitely.
+        low, high = self.task_low, self.task_high
+        span = math.hypot(max(-low[0], high[0]), max(-low[1], high[1])) + self.environment.total_length
+        if not all(math.isfinite(x * x) for x in (span, high[0] - low[0], high[1] - low[1])):
+            raise ConfigError("task_low, task_high and environment.total_length must keep squared distances finite")
         if abs(self.p1 + self.p2 + self.p3 - 100.0) > 1e-9:
             raise ConfigError("p1 + p2 + p3 must equal 100")
         if min(self.p1, self.p2, self.p3) < 0:
@@ -163,10 +170,14 @@ class ExperimentConfig:
             raise ConfigError("region_capacity must be >= 1")
         if self.split_candidates < 1:
             raise ConfigError("split_candidates must be >= 1")
+        # A split scores its cuts in (split_candidates x records) arrays of 8
+        # bytes per entry, records up to region_capacity + 1: 32 MiB at 2**22.
+        if self.split_candidates * (self.region_capacity + 1) > 1 << 22:
+            raise ConfigError("split_candidates * (region_capacity + 1) must be at most 2**22")
         if self.burn_in_goals is not None and self.burn_in_goals < 0:
             raise ConfigError("burn_in_goals must be >= 0")
-        if self.subgoal_count < 1:
-            raise ConfigError("subgoal_count must be >= 1")
+        if not 1 <= self.subgoal_count <= 1000:  # an attempt makes all its subgoals up front
+            raise ConfigError("subgoal_count must be between 1 and 1000")
         if self.reset_every < 1:
             raise ConfigError("reset_every must be >= 1")
         if self.velocity <= 0:
@@ -181,6 +192,12 @@ class ExperimentConfig:
             )
         if self.timeout_factor <= 1:
             raise ConfigError("timeout_factor must exceed 1")
+        # A reach's step cap, timeout_factor * distance / velocity with the
+        # distance rescaled by dim_scales(), is an int64 in evaluation.
+        scales = self.dim_scales()
+        farthest = span * max(1.0, 0.0 if scales is None else float(scales.max()))
+        if not self.timeout_factor * farthest / self.velocity < 2.0**63:
+            raise ConfigError("velocity is too small for timeout_factor: a reach's step cap must stay below 2**63")
         if self.reached_tolerance >= 0:
             raise ConfigError("reached_tolerance must be negative")
         if self.min_start_distance <= 0:
@@ -269,9 +286,10 @@ def _from_mapping(data: dict) -> ExperimentConfig:
 
 def load_config(path, seed: int | None = None, budget: int | None = None) -> ExperimentConfig:
     """Load and validate a config file, with optional seed/budget overrides."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     cfg = _from_mapping(data)

@@ -210,7 +210,7 @@ def compare_strategies(
         print(f"[{finished}/{len(runs)}] {strategy} seed {seed} finished at {elapsed:.1f} s", file=sys.stderr)
 
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(runs))) as pool:  # all fork at the first submit
             futures = {pool.submit(_one_run, job): run for job, run in zip(jobs, runs)}
             for future in as_completed(futures):
                 future.result()  # a failed run raises here, before it is reported

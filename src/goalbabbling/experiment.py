@@ -23,7 +23,6 @@ prediction error and the insert.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .explorers import (
 from .kinematics import ArmWorld, SynergyWorld
 from .memory import EvolvingMemory, FixedMemory
 from .regions import RecordOrigin, RegionTree
-from .rng import RngStreams, weighted_index
+from .rng import RngStreams
 from .spaces import Box
 
 MODE_TAGS = {RegionTree.MODE_INTEREST: "interest", RegionTree.MODE_UNIFORM: "uniform", RegionTree.MODE_LOW_COMPETENCE: "low_competence"}
@@ -278,11 +277,11 @@ class ActuatorRiacPolicy:
     instantiated over the actuator inputs -- (joint state, increment) pairs
     for the arm, episode parameters for the episodic world -- with
     forward-model prediction errors as the recorded values.  Points are
-    sampled inside a leaf drawn with probability proportional to its
-    interest; when a current state is given, only the leaves whose cut box
-    admits it on the first ``state_dim`` coordinates are eligible, taken in
-    depth-first order (`RegionTree.admitting`).  Both draws come from the
-    tree's random stream, which also draws its split candidates.
+    sampled inside a leaf that `RegionTree.draw_leaf` draws, as goal
+    selection does; when a current state is given, only the leaves whose
+    cut box admits it on the first ``state_dim`` coordinates are eligible.
+    Both draws come from the tree's random stream, which also draws its
+    split candidates.
     """
 
     def __init__(self, bounds: Box, state_dim: int, window, capacity, split_candidates, rng):
@@ -291,16 +290,8 @@ class ActuatorRiacPolicy:
 
     def choose_point(self, state: np.ndarray | None = None) -> np.ndarray:
         """Sample an input-space point; `state` constrains the leading dims."""
-        tree, rng = self.tree, self.tree.rng
-        slots = np.arange(len(tree._leaves)) if state is None else tree.admitting(state[: self.state_dim])
-        interests = tree._interests[slots]
-        weights = interests - interests.min()
-        total = weights.sum()
-        if total <= 0.0:
-            pick = rng.integers(len(interests))
-        else:
-            pick = weighted_index(rng, weights / total)
-        return tree._leaves[slots[pick]].bounds.sample(rng)
+        prefix = None if state is None else state[: self.state_dim]
+        return self.tree.draw_leaf(self.tree.rng, prefix).bounds.sample(self.tree.rng)
 
     def observe(self, point: np.ndarray, error: float) -> None:
         self.tree.update(point, error, RecordOrigin.SELF_GENERATED)
@@ -336,9 +327,8 @@ class _ArmAdapter(_WorldAdapter):
         if config.strategy in (SAGG_RIAC, SAGG_RANDOM):
             self.period = config.reset_every
         else:
-            # The budgeted step count of a reach to the farthest eligible goal.
-            farthest = config.task_box.farthest_distance(self.effector)
-            self.period = max(1, int(math.ceil(config.timeout_factor * farthest / config.velocity)))
+            # The step cap of a reach to the farthest eligible goal.
+            self.period = max(1, reaching_budget(config).max_steps(config.task_box.farthest_distance(self.effector)))
 
     def new_memory(self) -> EvolvingMemory:
         config = self.config

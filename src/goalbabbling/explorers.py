@@ -318,8 +318,6 @@ def reach_fixed(
     known_best: float | None = None
     if len(memory):
         predicted, nearest = memory.local_inverse(goal)
-        if nearest < 0:
-            nearest = memory.nearest_effect(goal, 1)[0][0]
         # Closest already-observed outcome, measured in the same (possibly
         # rescaled) metric as the attempt distances.
         known_best = scaled_distance(goal, memory.effects[nearest], competence)

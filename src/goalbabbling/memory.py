@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .spaces import grown
+
 # Keys per exact tail scan, so the (keys x tail x dim) difference array
 # stays small.
 _TAIL_CHUNK = 8
@@ -70,7 +72,7 @@ class NearestIndex:
 
     def add(self, row: np.ndarray) -> int:
         if self._n == self._rows.shape[0]:
-            self._rows = _grow(self._rows)
+            self._rows = grown(self._rows)
         self._rows[self._n] = row
         self._n += 1
         if self._n - self._tree_n >= self.rebuild_every:
@@ -366,8 +368,8 @@ class EvolvingMemory:
             raise ValueError("effect dimension mismatch")
         i = self._index.add(context)
         if i == self._actions.shape[0]:
-            self._actions = _grow(self._actions)
-            self._effects = _grow(self._effects)
+            self._actions = grown(self._actions)
+            self._effects = grown(self._effects)
         self._actions[i] = action
         self._effects[i] = effect
 
@@ -469,9 +471,6 @@ class FixedMemory:
         self._effect_index.add(effect)
         self._param_index.add(params)
 
-    def nearest_effect(self, key: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        return self._effect_index.query(np.asarray(key, dtype=float), k)
-
     def nearest_params(self, key: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self._param_index.query(np.asarray(key, dtype=float), k)
 
@@ -495,12 +494,7 @@ class FixedMemory:
         All goals share one effect-index query and all candidate sets one
         params-index query; each row is the same as for that goal alone.
         Returns the (rows x param_dim) predictions and per row the index of
-        the stored effect nearest to the goal, or -1.  The index is given when there are at least two candidates and the
-        first is strictly closer than the second.  Then it is the only
-        point at the smallest distance, and ``nearest_effect(goal, 1)``
-        returns it too, because both queries compute each point's distance
-        with the same formula.  Under a tie the two queries may order the
-        tied points differently, so no index is given.
+        a stored effect nearest to the goal.
         """
         if len(self) == 0:
             raise EmptyMemoryError("local inverse model requires at least one exemplar")
@@ -510,11 +504,7 @@ class FixedMemory:
         if goals.shape[0] == 0:
             return predicted, np.empty(0, dtype=np.intp)
         params, effects = self.params, self.effects
-        cand_idx, cand_dist = self._effect_index.query_many(goals, min(le, len(self)))
-        if cand_idx.shape[1] < 2:
-            nearest = np.full(goals.shape[0], -1, dtype=np.intp)
-        else:
-            nearest = np.where(cand_dist[:, 0] < cand_dist[:, 1], cand_idx[:, 0], -1)
+        cand_idx, _ = self._effect_index.query_many(goals, min(le, len(self)))
         set_idx, _ = self._param_index.query_many(params[cand_idx.ravel()], min(m, len(self)))
         set_idx = set_idx.reshape(cand_idx.shape + (-1,))
         if set_idx.shape[2] < 2:
@@ -533,7 +523,7 @@ class FixedMemory:
                 coef, *_ = np.linalg.lstsq(chosen_effects - effect_center, chosen_params - param_center, rcond=None)
                 inverse = coef.T
             predicted[row] = param_center + inverse @ (goals[row] - effect_center)
-        return predicted, nearest
+        return predicted, cand_idx[:, 0]
 
     def header(self) -> list[str]:
         """The column names of ``table()``."""
@@ -547,10 +537,3 @@ class FixedMemory:
         """Insert every row of a ``table()``."""
         for row in rows:
             self.insert(row[: self.param_dim], row[self.param_dim :])
-
-
-def _grow(array: np.ndarray) -> np.ndarray:
-    grown = np.empty((2 * array.shape[0], array.shape[1]), dtype=float)
-    grown[: array.shape[0]] = array
-    return grown
-

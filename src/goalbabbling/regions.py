@@ -12,8 +12,8 @@ separates areas of differing learnability as sharply as possible.
 
 The tree owns its leaves' data.  A leaf keeps its records as columns, the
 first ``count`` rows of a positions and a gammas array.  Per leaf slot the
-tree keeps the interest, a depth-first order key and the cut box: the
-half-open box its ancestors' cuts admit, unbounded where no cut bounds it.
+tree keeps the interest and the cut box: the half-open box its ancestors'
+cuts admit, unbounded where no cut bounds it.
 Records carry no tags; the tree counts them by origin.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import weighted_index
-from .spaces import Box
+from .spaces import Box, grown
 
 
 class RecordOrigin(enum.Enum):
@@ -62,11 +62,6 @@ def _interests_of_subsets(members: np.ndarray, gammas: np.ndarray, window: int) 
     older_sum = np.cumsum(np.where(older, gammas, 0.0), axis=1)[:, -1]
     newer_sum = np.cumsum(np.where(newer, gammas, 0.0), axis=1)[:, -1]
     return np.abs(older_sum - newer_sum) / window
-
-
-def _grown(array: np.ndarray, axis: int = 0) -> np.ndarray:
-    """`array` twice as long along `axis`; the new part is unset."""
-    return np.concatenate([array, np.empty_like(array)], axis=axis)
 
 
 @dataclass(eq=False)
@@ -151,10 +146,8 @@ class RegionTree:
         self._leaves: list[Region] = [self.root]
         # Per slot, in step with `_leaves` (entry or column i is leaf i's;
         # the arrays grow by doubling and their tails are unused): the
-        # interest; the depth-first order key, which sorts the leaves left
-        # to right; and the cut box [low, high) that the cuts above it admit.
+        # interest and the cut box [low, high) that the cuts above it admit.
         self._interests = np.zeros(64)
-        self._keys = np.zeros(64, dtype=np.int64)
         self._cut_low = np.full((bounds.dim, 64), -np.inf)
         self._cut_high = np.full((bounds.dim, 64), np.inf)
         self.records_by_origin = dict.fromkeys(RecordOrigin, 0)
@@ -182,7 +175,7 @@ class RegionTree:
         elif leaf.shared_position is not None and leaf.shared_position != coords:
             leaf.shared_position = None
         if leaf.count == leaf.gammas.shape[0]:
-            leaf.positions, leaf.gammas = _grown(leaf.positions), _grown(leaf.gammas)
+            leaf.positions, leaf.gammas = grown(leaf.positions), grown(leaf.gammas)
         leaf.positions[leaf.count] = point
         leaf.gammas[leaf.count] = gamma
         leaf.count += 1
@@ -240,15 +233,14 @@ class RegionTree:
         leaf.positions, leaf.gammas, leaf.count = np.empty((0, dim)), np.empty(0), 0
         leaf.shared_position = None
         if right.slot == self._interests.shape[0]:
-            self._interests, self._keys = _grown(self._interests), _grown(self._keys)
-            self._cut_low, self._cut_high = _grown(self._cut_low, axis=1), _grown(self._cut_high, axis=1)
+            self._interests = grown(self._interests)
+            self._cut_low, self._cut_high = grown(self._cut_low, axis=1), grown(self._cut_high, axis=1)
         self._leaves[left.slot] = left
         self._leaves.append(right)
         self._interests[left.slot] = self._interest(left)
         self._interests[right.slot] = self._interest(right)
-        # The left child keeps its parent's key and cut box; the right one
-        # sorts after every leaf below the left, and each side is cut at v.
-        self._keys[right.slot] = self._keys[left.slot] + (1 << (self.max_depth - leaf.depth - 1))
+        # The left child keeps its parent's cut box, the right one copies
+        # it, and each side is cut at v.
         for cut in (self._cut_low, self._cut_high):
             cut[:, right.slot] = cut[:, left.slot]
         self._cut_high[j, left.slot] = self._cut_low[j, right.slot] = v
@@ -284,27 +276,32 @@ class RegionTree:
         return list(self._leaves)
 
     def admitting(self, point) -> np.ndarray:
-        """Slots, in depth-first (left-to-right) order, of the leaves whose
-        cut box admits `point` on its first ``len(point)`` coordinates: the
-        leaves a descent reaches when it follows `point` at cuts on those
-        coordinates and takes both sides of every other cut."""
+        """Slots, ascending, of the leaves whose cut box admits `point` on
+        its first ``len(point)`` coordinates: the leaves a descent reaches
+        when it follows `point` at cuts on those coordinates and takes both
+        sides of every other cut."""
         n, k = len(self._leaves), len(point)
         point = np.asarray(point, dtype=float)[:, None]
         admits = (self._cut_low[:k, :n] <= point) & (point < self._cut_high[:k, :n])
-        slots = np.flatnonzero(np.logical_and.reduce(admits, axis=0))
-        return slots[np.argsort(self._keys[slots])]
+        return np.flatnonzero(np.logical_and.reduce(admits, axis=0))
 
-    def leaf_probabilities(self) -> np.ndarray:
-        """Selection probabilities: interest above the minimum, normalized.
-
-        When every leaf has the same interest the choice is uniform.
-        """
-        interests = self._interests[: len(self._leaves)]
+    def leaf_probabilities(self, slots: np.ndarray | None = None) -> np.ndarray:
+        """Selection probabilities of the leaves in `slots` (of every leaf, in
+        slot order, when None): interest above the minimum, normalized, and
+        uniform when all their interests are equal."""
+        interests = self._interests[: len(self._leaves)] if slots is None else self._interests[slots]
         weights = interests - interests.min()
         total = weights.sum()
         if total <= 0.0:
-            return np.full(len(self._leaves), 1.0 / len(self._leaves))
+            return np.full(len(interests), 1.0 / len(interests))
         return weights / total
+
+    def draw_leaf(self, rng: np.random.Generator, prefix=None) -> Region:
+        """A leaf drawn by `leaf_probabilities` with one uniform draw from `rng`,
+        among the leaves `admitting` the point `prefix` (all when it is None)."""
+        slots = None if prefix is None else self.admitting(prefix)
+        pick = weighted_index(rng, self.leaf_probabilities(slots))
+        return self._leaves[pick if slots is None else slots[pick]]
 
     def select_goal(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         p1, p2, _ = self.probabilities
@@ -318,7 +315,7 @@ class RegionTree:
 
         if mode == self.MODE_UNIFORM:
             return self.bounds.sample(rng), mode
-        leaf = self._leaves[weighted_index(rng, self.leaf_probabilities())]
+        leaf = self.draw_leaf(rng)
         if mode == self.MODE_INTEREST or not leaf.count:
             return leaf.bounds.sample(rng), mode
         # Mode 3: perturb around the worst (first lowest) outcome in the

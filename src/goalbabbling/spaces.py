@@ -1,4 +1,4 @@
-"""Axis-aligned boxes used for task spaces and region bounds."""
+"""Axis-aligned boxes for task spaces and region bounds, and array doubling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -47,3 +47,11 @@ class Box:
     def farthest_distance(self, point: np.ndarray) -> float:
         """Distance from `point` to the farthest corner of the box."""
         return float(np.linalg.norm(np.maximum(np.abs(point - self.low), np.abs(point - self.high))))
+
+
+def grown(array: np.ndarray, axis: int = 0) -> np.ndarray:
+    """`array` twice as long along `axis`; the new part is unset and untouched."""
+    n = array.shape[axis]
+    result = np.empty(array.shape[:axis] + (2 * n,) + array.shape[axis + 1 :], dtype=array.dtype)
+    result[(slice(None),) * axis + (slice(n),)] = array
+    return result

@@ -129,7 +129,7 @@ def reference_reach_fixed(
         return ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
     known_best = None
     if len(memory):
-        idx, _ = memory.nearest_effect(goal, 1)
+        idx, _ = memory._effect_index.query(goal, 1)
         known_best = scaled_distance(goal, memory.effects[idx[0]], competence)
         theta = np.clip(memory.local_inverse(goal)[0], 0.0, 1.0)
     else:

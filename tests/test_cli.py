@@ -102,6 +102,45 @@ def test_run_rejects_mistyped_or_non_finite_fields(demo_config, tmp_path, capsys
     assert f"{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"velocity": 5e-324}, "velocity"),
+        ({"velocity": 5e-324, "strategy": "actuator_riac"}, "velocity"),
+        ({"environment": {"total_length": 1e308}}, "environment.total_length"),
+        ({"task_space": {"low": [0, -1e308], "high": [1e308, 1e308]}}, "task_low"),
+        ({"split_candidates": 10**13}, "split_candidates"),
+        ({"environment": {"n_dof": 10**10}}, "environment.n_dof"),
+        ({"subgoal_count": 10**10}, "subgoal_count"),
+    ],
+    ids=["velocity-tiny", "velocity-tiny-actuator", "total-length-huge", "task-box-huge", "split-candidates-huge",
+         "n-dof-huge", "subgoal-count-huge"],
+)
+def test_run_rejects_values_that_break_a_started_run_before_the_world_is_built(
+    demo_config, tmp_path, capsys, monkeypatch, override, field
+):
+    # Each value once crashed, allocated without bound or hung after the
+    # run had started; none may get as far as building the world.
+    from goalbabbling.config import ExperimentConfig
+
+    def no_world(self):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ExperimentConfig, "build_world", no_world)
+    data = json.loads(demo_config.read_text())
+    for key, value in override.items():
+        if key == "environment":
+            data[key].update(value)
+        else:
+            data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", "--config", str(bad), "--budget", "300", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_goal_babbling_arm_without_exploration_exits_one_quickly(demo_config, tmp_path):
     # With no local model, only explorative micro-actions collect data; this
     # pair once made the first reach spin forever.
@@ -354,6 +393,42 @@ def test_compare_is_job_count_invariant(demo_config, tmp_path, capsys):
     assert hashes[0] == hashes[1]
 
 
+def test_compare_forks_no_more_workers_than_runs(demo_config, tmp_path, capsys, monkeypatch):
+    # A process pool forks all its workers at the first submit, so `--jobs`
+    # beyond the number of runs would only fork idle processes.
+    import concurrent.futures
+
+    import goalbabbling.evaluation as evaluation
+
+    pools = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingExecutor)
+    other = tmp_path / "random.json"
+    data = json.loads(demo_config.read_text())
+    data["strategy"] = "sagg_random"
+    other.write_text(json.dumps(data))
+    for jobs, workers in (("64", 4), ("3", 3)):
+        argv = ["compare", "--configs", str(demo_config), str(other), "--seeds", "1,2", "--budget", "100",
+                "--db-count", "4", "--jobs", jobs, "--out", str(tmp_path / f"j{jobs}")]
+        assert main(argv) == 0
+        assert pools[-1] == workers
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -414,10 +489,18 @@ def test_output_root_env_var(demo_config, tmp_path, monkeypatch):
         (["run", "--config", "{demo}", "--checkpoints", ","], "--checkpoints"),
         (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--checkpoints", ","], "--checkpoints"),
         (["compare", "--configs", "{demo}", "{other}", "--seeds", ","], "--seeds"),
+        (["run", "--config", "{demo}", "--budget", "abc"], "--budget"),
+        (["run"], "--config"),
+        (["launch", "--config", "{demo}"], "launch"),
+        (["run", "--config", "{tmp}/absent.json"], "{tmp}/absent.json"),
+        (["run", "--config", "{tmp}"], "{tmp}"),
+        (["compare", "--configs", "{demo}", "{tmp}", "--seeds", "1"], "{tmp}"),
     ],
     ids=["checkpoints-text", "checkpoints-negative", "seeds-text", "count-negative", "db-count-negative",
          "one-config", "duplicate-strategy", "run-checkpoint-past-budget", "compare-checkpoint-past-budget",
-         "db-count-zero", "count-zero", "run-checkpoints-empty", "compare-checkpoints-empty", "seeds-empty"],
+         "db-count-zero", "count-zero", "run-checkpoints-empty", "compare-checkpoints-empty", "seeds-empty",
+         "budget-text", "config-missing", "unknown-subcommand", "config-absent", "config-a-directory",
+         "compare-config-a-directory"],
 )
 def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys, args, flag):
     other = tmp_path / "random.json"
@@ -430,7 +513,7 @@ def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys,
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and flag in err
+    assert err.startswith("config error:") and flag.format(**names) in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "db.csv").exists()
 
 

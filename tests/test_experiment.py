@@ -203,8 +203,8 @@ def test_actuator_riac_selections_track_progress_halfspace():
 
 
 def _walk_candidate_leaves(policy, state):
-    """Reference filter: a depth-first descent that follows `state` at
-    state-space splits and takes both sides of the other splits."""
+    """Reference filter: a descent that follows `state` at state-space
+    splits and takes both sides of the other splits."""
     leaves, stack = [], [policy.tree.root]
     while stack:
         node = stack.pop()
@@ -214,40 +214,61 @@ def _walk_candidate_leaves(policy, state):
             stack.append(node.left if state[node.split_dim] < node.split_value else node.right)
         else:
             stack.extend([node.left, node.right])
-    return leaves[::-1]
+    return leaves
 
 
 def _left_to_right(node):
     return [node] if node.is_leaf else _left_to_right(node.left) + _left_to_right(node.right)
 
 
-def test_actuator_riac_leaf_filter_matches_tree_descent():
+def _fed_policy(seed=5):
     low, high = np.array([-1.0, -1.0, -0.1, -0.1]), np.array([1.0, 1.0, 0.1, 0.1])
     policy = ActuatorRiacPolicy(
-        Box(low, high), state_dim=2, window=6, capacity=5, split_candidates=10, rng=np.random.default_rng(5)
+        Box(low, high), state_dim=2, window=6, capacity=5, split_candidates=10, rng=np.random.default_rng(seed)
     )
-    feed = np.random.default_rng(6)
+    feed = np.random.default_rng(seed + 1)
     for _ in range(800):
         policy.observe(policy.tree.bounds.sample(feed), float(feed.random()))
+    return policy, feed
+
+
+def test_actuator_riac_leaf_filter_matches_tree_descent():
+    policy, feed = _fed_policy()
     tree = policy.tree
+    low, high = tree.bounds.low, tree.bounds.high
     leaves = tree.leaves()
-    # Every slot, in key order, is the recursive left-to-right walk.
-    ordered = [leaves[s] for s in tree.admitting(low[:0])]
-    assert len(ordered) == len(leaves) > 50
-    assert all(a is b for a, b in zip(ordered, _left_to_right(tree.root), strict=True))
-    assert any(node.bounds.low[0] > -1.0 for node in ordered if node.depth > 0)
+    # An empty prefix admits every slot, ascending; the leaves are those of
+    # the recursive left-to-right walk.
+    assert tree.admitting(low[:0]).tolist() == list(range(len(leaves)))
+    assert len(leaves) > 50
+    assert sorted(_left_to_right(tree.root), key=lambda leaf: leaf.slot) == leaves
+    assert any(node.bounds.low[0] > -1.0 for node in leaves if node.depth > 0)
     np.testing.assert_array_equal(
         tree._interests[tree.admitting(low[:0])],
-        [interest_of(leaf.gammas[: leaf.count].tolist(), tree.window) for leaf in ordered],
+        [interest_of(leaf.gammas[: leaf.count].tolist(), tree.window) for leaf in leaves],
     )
     # Random states, the outer corners (joint clamping reaches the upper
-    # bound exactly) and states lying exactly on split values.
+    # bound exactly) and states lying exactly on split values: the
+    # descent's leaves, in ascending slot order.
     states = list(feed.uniform(-1.0, 1.0, size=(200, 2))) + [low[:2], high[:2], np.array([1.0, -1.0])]
-    states += [leaf.bounds.low[:2] for leaf in ordered[::7]]
+    states += [leaf.bounds.low[:2] for leaf in leaves[::7]]
     for state in states:
         admitted = [leaves[s] for s in tree.admitting(state)]
-        expected = _walk_candidate_leaves(policy, state)
+        expected = sorted(_walk_candidate_leaves(policy, state), key=lambda leaf: leaf.slot)
         assert len(admitted) == len(expected) and all(a is b for a, b in zip(admitted, expected))
+
+
+def test_actuator_riac_draws_its_leaf_through_the_tree():
+    policy, feed = _fed_policy(seed=8)
+    tree = policy.tree
+    for state in list(feed.uniform(-1.0, 1.0, size=(50, 2))) + [None]:
+        replay = np.random.default_rng()
+        replay.bit_generator.state = tree.rng.bit_generator.state
+        point = policy.choose_point(state)
+        prefix = None if state is None else state[: policy.state_dim]
+        leaf = tree.draw_leaf(replay, prefix)
+        assert np.array_equal(point, leaf.bounds.sample(replay))
+        assert replay.bit_generator.state == tree.rng.bit_generator.state
 
 
 def test_checkpoint_snapshots_recorded():

@@ -28,19 +28,19 @@ GOLDEN = {
     "arm2_demo/sagg_riac": "b5b6eae4cbcb61f27c156a05682790774865adbb262aa4244cfc69095aba5cf1",
     "arm2_demo/sagg_random": "1dcd16eccc51768ee62d6b0c50302795257176991c3f765fbce2e82327b04a1e",
     "arm2_demo/actuator_random": "e8d370f78db15442ebca21ff29d2242862187e31900e6e7bf9d6afdcef204298",
-    "arm2_demo/actuator_riac": "d0f3ec9254ce213a7bbd52d0d1b36ec0f247499b12670a78d0a5f62d1de7edde",
+    "arm2_demo/actuator_riac": "3bb0a29b1ce0b7e98599fd1ad7da13890925f2b835d8a0f2a397b1b3d70c8c93",
     "arm15_big/sagg_riac": "40523c9be2a717b5015370f7051a7280cdf817ad17dfb9d9118fbe70d04171e3",
     "arm15_big/sagg_random": "fd95f16ca9225589f05fdfcbe5f7cba751ed480430626b613820536ececd68ef",
     "arm15_big/actuator_random": "e6b6c2a538c76047254f0c1f165209b136a16f22d9ab92d0b3d59fd16cac52b3",
-    "arm15_big/actuator_riac": "15b4e7d24f3a3fa73ca282339f53b787436b7ef944a05eee9efbc9a1babc6148",
+    "arm15_big/actuator_riac": "033a71b4f7c1a6e86e08d9b56c0033bb2870b9fff6d5b7dc3f9033ac0ece569d",
     "arm15_mid/sagg_riac": "443e3c54846bccac92781fea6674948b6a01e1b5a750cfe79f55ce7f55457973",
     "arm15_mid/sagg_random": "3d67dd7dc6367eddd38b9034bf882c9e1223059c7b1cc53638e5004e6e91df5f",
     "arm15_mid/actuator_random": "f66a16c9374db21c22055520e839b1e49fdb42cd3e55dfa92fba7cea104970df",
-    "arm15_mid/actuator_riac": "2dcb4c89f01e3b30a1993121439d7eda4fd77531e9e3e28a928b2cb33395df4f",
+    "arm15_mid/actuator_riac": "8f5beeb9c957e17a881eb6c8c2562e6eac8d937393e889bd63b7a7ad276f5d86",
     "map8_mid/sagg_riac": "98f5eda671cde5925bd177cc618141f3b69016a1ebf9dca2f09fa35325acfd66",
     "map8_mid/sagg_random": "7ccaa7ef8d75624dc7d0aa443a2868ed40646db1c6c63615fffd647cb572d04b",
     "map8_mid/actuator_random": "360b289f29cfcef2e3d2e9b4990b908ca5f72b2168cd273adc85309a8e827f4b",
-    "map8_mid/actuator_riac": "34ad27f7d2993073db86f71eb5c53aea9e91c5bc96e51ba00fb1cf5e287fc826",
+    "map8_mid/actuator_riac": "f33d27e2d3db9e58a04b85e48cff6e223b48a0ce0650b2ace9b464200ce31f1b",
 }
 
 
@@ -70,7 +70,7 @@ def test_run_outputs_match_golden_digest(name, strategy, tmp_path):
 
 # `compare` outputs: goal babbling against motor babbling on the 2-DOF arm.
 COMPARE_STRATEGIES = ("sagg_riac", "sagg_random", "actuator_riac")
-COMPARE_GOLDEN = "f77baff78e4debb83956912c171a43f071183d0c6a147d24a66f16b56fae595f"
+COMPARE_GOLDEN = "a935e6882c076386a09469fe0913de4ccafdee31412028fb64552ed3a5ee5011"
 
 
 def test_compare_outputs_match_golden_digest(tmp_path):

@@ -533,7 +533,7 @@ def test_local_inverse_single_entry_returns_it():
     memory.insert(theta, np.array([10.0, -3.0]))
     predicted, nearest = memory.local_inverse(np.array([50.0, 50.0]))
     np.testing.assert_allclose(predicted, theta, atol=1e-12)
-    assert nearest == -1  # one candidate, so none is strictly nearest
+    assert nearest == 0  # the one stored effect is the nearest
 
 
 def test_local_inverse_raises_on_empty_memory():
@@ -586,7 +586,7 @@ def _local_inverse_scan(memory, goal, candidates, neighborhood):
     """Reference local inverse: one params query per candidate and a strict
     `<` scan over their spreads, so the first of tied sets wins."""
     n = len(memory)
-    cand_idx, _ = memory.nearest_effect(goal, min(candidates, n))
+    cand_idx, _ = memory._effect_index.query(goal, min(candidates, n))
     best_set, best_spread = None, math.inf
     for i in cand_idx:
         set_idx, _ = memory.nearest_params(memory.params[i], min(neighborhood, n))
@@ -629,13 +629,12 @@ def test_local_inverses_equal_the_per_candidate_scan_bitwise(size):
             assert np.array_equal(one, expected)
 
 
-def test_local_inverse_nearest_index_equals_nearest_effect():
+def test_local_inverse_nearest_index_is_at_the_minimum_distance():
     # 700 exemplars: a kd-tree over 512 and a 188-row tail.  Effects lie on
     # a 0.25 grid and every third tail effect copies a tree effect, so goals
     # on the grid, or halfway between grid effects, tie at the nearest
-    # distance, also between a tree point and a tail point.  The nearest
-    # index is given exactly when the first two candidates are not tied,
-    # and then it is the index `nearest_effect(goal, 1)` returns.
+    # distance, also between a tree point and a tail point.  Every goal gets
+    # an index, and the stored effect there is at the minimum distance.
     rng = np.random.default_rng(4)
     memory = FixedMemory(3, 2)
     for i in range(700):
@@ -652,19 +651,15 @@ def test_local_inverse_nearest_index_equals_nearest_effect():
         ]
     )
     _, nearest = memory.local_inverses(goals)
-    given = tied = tree_tail_ties = 0
+    tied = tree_tail_ties = 0
     for row, goal in enumerate(goals):
         assert memory.local_inverse(goal)[1] == nearest[row]
-        idx, dist = memory.nearest_effect(goal, 2)
-        if nearest[row] >= 0:
-            given += 1
-            assert nearest[row] == memory.nearest_effect(goal, 1)[0][0] == idx[0]
-            assert dist[0] < dist[1]
-        else:
-            tied += 1
-            assert dist[0] == dist[1]
-            tree_tail_ties += min(idx) < 512 <= max(idx)
-    assert given >= 40 and tied >= 30 and tree_tail_ties >= 20
+        distances = np.linalg.norm(memory.effects - goal, axis=1)
+        assert distances[nearest[row]] == distances.min()
+        at_minimum = np.flatnonzero(distances == distances.min())
+        tied += at_minimum.shape[0] > 1
+        tree_tail_ties += at_minimum.min() < 512 <= at_minimum.max()
+    assert tied >= 30 and tree_tail_ties >= 20
 
 
 def test_local_inverses_of_no_goals_and_on_empty_memory():
@@ -680,7 +675,7 @@ def test_nearest_on_fixed_memory_keys_by_effect():
     memory = FixedMemory(2, 2)
     memory.insert(np.array([0.1, 0.1]), np.array([0.0, 0.0]))
     memory.insert(np.array([0.9, 0.9]), np.array([10.0, 10.0]))
-    (i,), _ = memory.nearest_effect(np.array([9.0, 9.0]), 1)
+    _, i = memory.local_inverse(np.array([9.0, 9.0]))
     np.testing.assert_array_equal(memory.effects[i], [10.0, 10.0])
     np.testing.assert_array_equal(memory.params[i], [0.9, 0.9])
 

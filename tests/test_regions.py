@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalbabbling.regions import RecordOrigin, RegionTree, interest_of
+from goalbabbling.rng import weighted_index
 from goalbabbling.spaces import Box
 
 
@@ -347,6 +348,46 @@ def test_all_interests_equal_guard_uniform_choice():
     np.testing.assert_allclose(probabilities, np.full(len(probabilities), 1 / len(probabilities)))
 
 
+def _replay(rng):
+    copy = np.random.default_rng()
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+@pytest.mark.parametrize("prefix", [None, [0.3], [0.7]])
+def test_draw_leaf_on_flat_interests_is_one_uniform_draw(prefix):
+    tree = make_tree(capacity=2, seed=12)
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        tree.update(rng.random(2), -0.5, RecordOrigin.SELF_GENERATED)
+    slots = np.arange(len(tree.leaves())) if prefix is None else tree.admitting(prefix)
+    assert len(slots) > 1 and not tree._interests[: len(tree.leaves())].any()
+    for _ in range(20):
+        replay = _replay(rng)
+        leaf = tree.draw_leaf(rng, prefix)
+        assert leaf is tree.leaves()[slots[weighted_index(replay, np.full(len(slots), 1.0 / len(slots)))]]
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_draw_leaf_follows_the_probabilities_of_the_admitted_leaves():
+    tree = make_tree(capacity=5, seed=3)
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        point = rng.random(2)
+        tree.update(point, -float(point[0] > 0.5) * rng.random(), RecordOrigin.SELF_GENERATED)
+    prefix = [0.6]
+    slots = tree.admitting(prefix)
+    interests = np.array([interest_of(tree.leaves()[s].gammas[: tree.leaves()[s].count].tolist(), 6) for s in slots])
+    probabilities = (interests - interests.min()) / (interests - interests.min()).sum()
+    assert len(slots) > 2 and probabilities.max() < 1.0
+    np.testing.assert_allclose(tree.leaf_probabilities(slots), probabilities)
+    draws = 20000
+    counts = dict.fromkeys(slots.tolist(), 0)
+    for _ in range(draws):
+        counts[tree.draw_leaf(rng, prefix).slot] += 1
+    np.testing.assert_allclose([counts[s] / draws for s in slots.tolist()], probabilities, atol=0.015)
+
+
 # ------------------------------------------------------------------ snapshot
 
 def test_snapshot_fresh_tree():
@@ -656,8 +697,10 @@ def test_leaf_columns_and_counters_equal_the_stream(data, tiny, max_depth, capac
         assert leaf.depth <= max_depth
     assert tree.records_by_origin == {o: sum(origin is o for _, _, origin in stream) for o in RecordOrigin}
     assert tree.clipped_updates == sum(not box.contains(point) for point, _, _ in stream)
-    # Slots in key order walk the leaves left to right, and a point's full
-    # cut box admits exactly the leaf that holds it.
-    assert [leaves[s] for s in tree.admitting([])] == _left_to_right(tree.root)
+    # An empty prefix admits every leaf, in ascending slot order; they are
+    # the leaves of a left-to-right walk.  A point's full cut box admits
+    # exactly the leaf that holds it.
+    assert tree.admitting([]).tolist() == list(range(len(leaves)))
+    assert sorted(_left_to_right(tree.root), key=lambda leaf: leaf.slot) == leaves
     for point, owner in zip(points, owners):
         assert [leaves[s] for s in tree.admitting(point)] == [owner]
