@@ -195,8 +195,8 @@ def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoi
     competence = competence_config(config)
     budget = reaching_budget(config)
 
-    def conserve(point: np.ndarray) -> None:
-        tree.update(point, max_competence(), RecordOrigin.EN_ROUTE)
+    def conserve(points: np.ndarray) -> None:
+        tree.update_many(points, max_competence(), RecordOrigin.EN_ROUTE)
 
     hooks = conserve if config.conservation else None
     used = attempt = goals_made = idle = 0

@@ -15,10 +15,13 @@ Two reaching procedures share the same outcome contract:
   out and scored as one block, kept up to the first that improves on it,
   with the same draws, records and outcome as one rollout at a time.
 
-Every executed micro-action/rollout is inserted into memory exactly once
-and reported through the ``hooks`` callback (used for en-route crediting).
-The arm itself bounds the length of each micro-action and clamps its
-joints (``ArmWorld.step`` and its batch forms).
+Every executed micro-action/rollout is inserted into memory exactly once:
+an arm burst as one block, and an episode's rollouts as one block when it
+ends.  When a reach ends, ``hooks`` (used for en-route crediting) is called
+once with the (rows x 2) array of the outcomes it executed, in execution
+order (no rows when it executed none).  The arm itself bounds the length
+of each micro-action and clamps its joints (``ArmWorld.step`` and its batch
+forms).
 """
 from __future__ import annotations
 
@@ -126,26 +129,29 @@ def reach_evolving(
     goal = np.asarray(goal, dtype=float)
     start = world.forward(alpha)
     current = start
-    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-    if gamma == 0.0:
-        return ReachOutcome(current, 0.0, 0, REACHED, alpha.copy())
+    steps = 0
+    visited = [np.empty((0, goal.shape[0]))]  # blocks of effector positions after each micro-action
+
+    def _end(terminated_by: str) -> ReachOutcome:
+        gamma = 0.0
+        if terminated_by != REACHED:
+            gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
+        if hooks is not None:
+            hooks(np.concatenate(visited))
+        return ReachOutcome(current, gamma, steps, terminated_by, alpha.copy())
+
+    if clip_to_gamma(competence_normalized(goal, current, start, competence), competence) == 0.0:
+        return _end(REACHED)
 
     start_distance = scaled_distance(start, goal, competence)
     cap = budget.max_steps(start_distance)
     if allowance is not None:
         cap = min(cap, allowance)
-    steps = 0
     best = euclidean(current, goal)
     # Blocking bookkeeping: a streak of exploration triggers with no
     # improvement of the best distance between them.
     last_mark = best
     stalled_phases = 0
-
-    def _record(before: np.ndarray, after: np.ndarray, displacement: np.ndarray, point: np.ndarray) -> None:
-        # The exemplar stores the actually-applied (post-clamp) increment.
-        memory.insert(before, after - before, displacement)
-        if hooks is not None:
-            hooks(point)
 
     while steps < cap:
         jacobian = memory.local_jacobian(alpha)
@@ -154,13 +160,14 @@ def reach_evolving(
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
             result = world.step(alpha, pseudo_inverse(jacobian) @ desired, current)
-            _record(alpha, result.alpha, result.displacement, result.effector_after)
+            # The exemplar stores the actually-applied (post-clamp) increment.
+            memory.insert(alpha, result.alpha - alpha, result.displacement)
             alpha, current = result.alpha, result.effector_after
+            visited.append(current[None])
             steps += 1
             best = min(best, euclidean(current, goal))
-            gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-            if gamma == 0.0:
-                return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
+            if clip_to_gamma(competence_normalized(goal, current, start, competence), competence) == 0.0:
+                return _end(REACHED)
             error = euclidean(result.displacement, desired)
             explore = error > budget.prediction_error_max
         if explore:
@@ -171,13 +178,11 @@ def reach_evolving(
                     stalled_phases = 0
                 last_mark = best
                 if stalled_phases >= budget.blocking_window:
-                    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                    return ReachOutcome(current, gamma, steps, BLOCKED, alpha.copy())
+                    return _end(BLOCKED)
             if jacobian is None and not budget.explore_actions:
                 # Nothing can move the arm, so every later round would be
                 # this one again: end now, as the blocking check would.
-                gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                return ReachOutcome(current, gamma, steps, BLOCKED, alpha.copy())
+                return _end(BLOCKED)
             count = min(budget.explore_actions, cap - steps)
             if count:
                 # The whole burst as one block; it ends early at the first
@@ -192,18 +197,17 @@ def reach_evolving(
                     # Leave the stream where drawing one action at a time would.
                     rng.bit_generator.state = drawn
                     rng.uniform(-budget.explore_scale, budget.explore_scale, (kept, world.n_dof))
-                moved = effectors[1 : kept + 1] - effectors[:kept]
-                for i in range(kept):
-                    _record(alphas[i], alphas[i + 1], moved[i], after[i])
+                memory.insert_many(
+                    alphas[:kept], alphas[1 : kept + 1] - alphas[:kept], effectors[1 : kept + 1] - effectors[:kept]
+                )
                 alpha, current = alphas[kept], after[kept - 1]
+                visited.append(after[:kept])
                 steps += kept
                 offsets = after[:kept] - goal
                 best = min(best, float(np.sqrt(np.vecdot(offsets, offsets)).min()))
                 if reached.size:
-                    return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
-
-    gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-    return ReachOutcome(current, gamma, steps, TIMEOUT, alpha.copy())
+                    return _end(REACHED)
+    return _end(TIMEOUT)
 
 
 def reach_evolving_lockstep(
@@ -312,8 +316,20 @@ def reach_fixed(
     cap = 1 + budget.explore_actions
     if allowance is not None:
         cap = min(cap, allowance)
+    # Blocks of the parameters and outcomes rolled out, in order.
+    tried, seen = [np.empty((0, world.param_dim))], [np.empty((0, goal.shape[0]))]
+
+    def _end(outcome: ReachOutcome) -> ReachOutcome:
+        # Nothing reads the memory after the local inverse that starts the
+        # episode, so its rollouts go in as one block when it ends.
+        outcomes = np.concatenate(seen)
+        memory.insert_many(np.concatenate(tried), outcomes)
+        if hooks is not None:
+            hooks(outcomes)
+        return outcome
+
     if cap <= 0:
-        return ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
+        return _end(ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5)))
 
     known_best: float | None = None
     if len(memory):
@@ -325,18 +341,14 @@ def reach_fixed(
     else:
         theta = rng.uniform(0.0, 1.0, world.param_dim)
 
-    def _record(params: np.ndarray, outcome: np.ndarray) -> None:
-        memory.insert(params, outcome)
-        if hooks is not None:
-            hooks(outcome)
-
     outcome = world.rollout(theta)
-    _record(theta, outcome)
+    tried.append(theta[None])
+    seen.append(outcome[None])
     gamma = clip_to_gamma(competence_normalized(goal, outcome, start, competence), competence)
     rollouts = 1
     best_theta, best_outcome, best_gamma = theta, outcome, gamma
     if gamma == 0.0:
-        return ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta)
+        return _end(ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta))
 
     attempt_distance = scaled_distance(goal, outcome, competence)
     inefficient = known_best is None or attempt_distance > known_best
@@ -357,8 +369,8 @@ def reach_fixed(
             gammas = _gammas(goal, outcomes, start_distance, competence)
             better = np.flatnonzero(gammas > best_gamma)
             kept = int(better[0]) + 1 if better.size else count - row
-            for i in range(kept):
-                _record(candidates[i], outcomes[i])
+            tried.append(candidates[:kept])
+            seen.append(outcomes[:kept])
             row += kept
             if better.size:
                 best_theta, best_outcome, best_gamma = candidates[kept - 1], outcomes[kept - 1], float(gammas[kept - 1])
@@ -367,7 +379,7 @@ def reach_fixed(
                         # Leave the stream where drawing one row per rollout would.
                         rng.bit_generator.state = drawn
                         rng.uniform(-1.0, 1.0, (row, world.param_dim))
-                    return ReachOutcome(best_outcome, 0.0, rollouts + row, REACHED, best_theta)
+                    return _end(ReachOutcome(best_outcome, 0.0, rollouts + row, REACHED, best_theta))
         rollouts += count
 
-    return ReachOutcome(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)
+    return _end(ReachOutcome(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta))

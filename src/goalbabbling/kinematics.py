@@ -186,14 +186,22 @@ class ArmWorld(PlanarWorld):
 
         Row 0 of each array is the start and row i + 1 the state after
         ``deltas[i]``; every row equals what ``step`` gives one action at a
-        time, bit for bit.
+        time, bit for bit.  The states are summed in one pass, which adds
+        row by row as the steps do; from the first state that the clamp
+        changes on, they are clamped one step at a time.
         """
         deltas = self._bounded(deltas)
         low, high = self.geometry.joint_low, self.geometry.joint_high
         alphas = np.empty((deltas.shape[0] + 1, self.n_dof))
         alphas[0] = alpha
-        for i, delta in enumerate(deltas):
-            alphas[i + 1] = np.clip(alphas[i] + delta, low, high)
+        alphas[1:] = deltas
+        np.add.accumulate(alphas, axis=0, out=alphas)
+        # Compared as bits: the clamp also turns -0.0 at a limit of 0.0 into 0.0.
+        summed = alphas[1:]
+        changed = np.clip(summed, low, high).view(np.int64) != summed.view(np.int64)
+        beyond = np.flatnonzero(changed.any(axis=1))
+        for i in range(beyond[0] if beyond.size else deltas.shape[0], deltas.shape[0]):
+            alphas[i + 1] = np.clip(alphas[i] + deltas[i], low, high)
         effectors = np.empty((alphas.shape[0], effector.shape[0]))
         effectors[0] = effector
         effectors[1:] = forward_kinematics_many(self.geometry, alphas[1:])

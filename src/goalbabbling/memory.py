@@ -70,15 +70,22 @@ class NearestIndex:
     def points(self) -> np.ndarray:
         return self._rows[: self._n]
 
-    def add(self, row: np.ndarray) -> int:
-        if self._n == self._rows.shape[0]:
+    def add(self, row: np.ndarray) -> None:
+        self.add_many(np.asarray(row, dtype=float)[None])
+
+    def add_many(self, rows: np.ndarray) -> None:
+        """Append the rows of a block, with the points, tree and queries that
+        adding them one at a time gives: the tree is built once, over the
+        rows up to the last rebuild point the block crosses."""
+        end = self._n + rows.shape[0]
+        while end > self._rows.shape[0]:
             self._rows = grown(self._rows)
-        self._rows[self._n] = row
-        self._n += 1
-        if self._n - self._tree_n >= self.rebuild_every:
-            self._tree = cKDTree(self._rows[: self._n].copy())
-            self._tree_n = self._n
-        return self._n - 1
+        self._rows[self._n : end] = rows
+        self._n = end
+        indexed = end - (end - self._tree_n) % self.rebuild_every
+        if indexed > self._tree_n:
+            self._tree = cKDTree(self._rows[:indexed].copy())
+            self._tree_n = indexed
 
     def query(self, key: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the k nearest points, ascending: the
@@ -359,19 +366,27 @@ class EvolvingMemory:
         return len(self._index)
 
     def insert(self, context: np.ndarray, action: np.ndarray, effect: np.ndarray) -> None:
-        context = np.asarray(context, dtype=float)
-        action = np.asarray(action, dtype=float)
-        effect = np.asarray(effect, dtype=float)
-        if context.shape != (self.context_dim,) or action.shape != (self.context_dim,):
+        self.insert_many(
+            np.asarray(context, dtype=float)[None],
+            np.asarray(action, dtype=float)[None],
+            np.asarray(effect, dtype=float)[None],
+        )
+
+    def insert_many(self, contexts: np.ndarray, actions: np.ndarray, effects: np.ndarray) -> None:
+        """Insert the rows of a block, in order, as one insert per row would."""
+        rows = contexts.shape[0]
+        if contexts.shape != (rows, self.context_dim) or actions.shape != (rows, self.context_dim):
             raise ValueError("context/action dimension mismatch")
-        if effect.shape != (self.effect_dim,):
+        if effects.shape != (rows, self.effect_dim):
             raise ValueError("effect dimension mismatch")
-        i = self._index.add(context)
-        if i == self._actions.shape[0]:
+        start = len(self._index)
+        self._index.add_many(contexts)
+        end = start + rows
+        while end > self._actions.shape[0]:
             self._actions = grown(self._actions)
             self._effects = grown(self._effects)
-        self._actions[i] = action
-        self._effects[i] = effect
+        self._actions[start:end] = actions
+        self._effects[start:end] = effects
 
     def local_jacobian(self, context: np.ndarray) -> np.ndarray | None:
         """Fit the local linear action->effect map (effect_dim x context_dim)
@@ -429,8 +444,7 @@ class EvolvingMemory:
     def insert_rows(self, rows: np.ndarray) -> None:
         """Insert every row of a ``table()``."""
         c = self.context_dim
-        for row in rows:
-            self.insert(row[:c], row[c : 2 * c], row[2 * c :])
+        self.insert_many(rows[:, :c], rows[:, c : 2 * c], rows[:, 2 * c :])
 
 
 class FixedMemory:
@@ -462,14 +476,17 @@ class FixedMemory:
         return self._effect_index.points
 
     def insert(self, params: np.ndarray, effect: np.ndarray) -> None:
-        params = np.asarray(params, dtype=float)
-        effect = np.asarray(effect, dtype=float)
-        if params.shape != (self.param_dim,):
+        self.insert_many(np.asarray(params, dtype=float)[None], np.asarray(effect, dtype=float)[None])
+
+    def insert_many(self, params: np.ndarray, effects: np.ndarray) -> None:
+        """Insert the rows of a block, in order, as one insert per row would."""
+        rows = params.shape[0]
+        if params.shape != (rows, self.param_dim):
             raise ValueError("params dimension mismatch")
-        if effect.shape != (self.effect_dim,):
+        if effects.shape != (rows, self.effect_dim):
             raise ValueError("effect dimension mismatch")
-        self._effect_index.add(effect)
-        self._param_index.add(params)
+        self._effect_index.add_many(effects)
+        self._param_index.add_many(params)
 
     def nearest_params(self, key: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         return self._param_index.query(np.asarray(key, dtype=float), k)
@@ -535,5 +552,4 @@ class FixedMemory:
 
     def insert_rows(self, rows: np.ndarray) -> None:
         """Insert every row of a ``table()``."""
-        for row in rows:
-            self.insert(row[: self.param_dim], row[self.param_dim :])
+        self.insert_many(rows[:, : self.param_dim], rows[:, self.param_dim :])

@@ -163,26 +163,45 @@ class RegionTree:
         return node
 
     def update(self, point: np.ndarray, gamma: float, origin: RecordOrigin) -> Region:
-        """Record an outcome, refresh the leaf's interest, split when full."""
-        point = np.asarray(point, dtype=float)
-        if not self.bounds.contains(point):
-            point = self.bounds.clip(point)
-            self.clipped_updates += 1
-        coords = point.tolist()
-        leaf = self.locate(coords)
-        if not leaf.count:
-            leaf.shared_position = coords
-        elif leaf.shared_position is not None and leaf.shared_position != coords:
-            leaf.shared_position = None
-        if leaf.count == leaf.gammas.shape[0]:
-            leaf.positions, leaf.gammas = grown(leaf.positions), grown(leaf.gammas)
-        leaf.positions[leaf.count] = point
-        leaf.gammas[leaf.count] = gamma
-        leaf.count += 1
-        self.records_by_origin[origin] += 1
-        self._interests[leaf.slot] = self._interest(leaf)
-        if leaf.count > self.capacity and leaf.depth < self.max_depth:
-            self._split(leaf)
+        """Record one outcome: the one-row case of `update_many`."""
+        return self.update_many(np.asarray(point, dtype=float)[None], gamma, origin)
+
+    def update_many(self, points: np.ndarray, gamma: float, origin: RecordOrigin) -> Region | None:
+        """Record an outcome at every row of `points`, in order, all with
+        `gamma`; return the leaf the last row went into (None for no rows).
+
+        A row outside the box is clipped onto it and counted.  A leaf
+        splits when a row fills it past capacity, so the records and the
+        split draws are those of one call per row.  Interest is read only
+        between calls, so each leaf the block reached gets it refreshed
+        once, at the end.
+        """
+        points = np.asarray(points, dtype=float)
+        inside = (points >= self.bounds.low) & (points <= self.bounds.high)
+        if not inside.all():
+            outside = ~inside.all(axis=1)
+            points = np.where(outside[:, None], self.bounds.clip(points), points)
+            self.clipped_updates += int(np.count_nonzero(outside))
+        reached = {}  # the leaves the block went into, in order (a set that keeps order)
+        leaf = None
+        for i, coords in enumerate(points.tolist()):
+            leaf = self.locate(coords)
+            if not leaf.count:
+                leaf.shared_position = coords
+            elif leaf.shared_position is not None and leaf.shared_position != coords:
+                leaf.shared_position = None
+            if leaf.count == leaf.gammas.shape[0]:
+                leaf.positions, leaf.gammas = grown(leaf.positions), grown(leaf.gammas)
+            leaf.positions[leaf.count] = points[i]
+            leaf.gammas[leaf.count] = gamma
+            leaf.count += 1
+            reached[leaf] = None
+            if leaf.count > self.capacity and leaf.depth < self.max_depth:
+                self._split(leaf)
+        self.records_by_origin[origin] += points.shape[0]
+        for region in reached:
+            if region.is_leaf:
+                self._interests[region.slot] = self._interest(region)
         return leaf
 
     def _interest(self, leaf: Region) -> float:

@@ -18,7 +18,8 @@ from goalbabbling.memory import pseudo_inverse
 
 
 class NoInserts:
-    """`memory` with ``insert`` dropped: a reach through it learns nothing."""
+    """`memory` with ``insert`` and ``insert_many`` dropped: a reach through
+    it learns nothing."""
 
     def __init__(self, memory):
         self.memory = memory
@@ -30,6 +31,9 @@ class NoInserts:
         return getattr(self.memory, name)
 
     def insert(self, *args):
+        pass
+
+    def insert_many(self, *args):
         pass
 
 

@@ -141,6 +141,32 @@ def test_run_rejects_values_that_break_a_started_run_before_the_world_is_built(
     assert not (tmp_path / "x").exists()
 
 
+def test_largest_accepted_arm_length_runs_its_local_fits_without_a_float_warning(demo_config, tmp_path, monkeypatch):
+    # A reach's step cap, timeout_factor * farthest distance / velocity,
+    # must stay below 2**63; on this task box that bounds total_length at
+    # about 1.23e19, far below the lengths whose Jacobians overflow the
+    # closed-form pseudo-inverse (about 1e77).  The largest accepted length
+    # runs its local fits with every warning an error; the next float up
+    # is rejected before the run.
+    import warnings
+
+    from goalbabbling import explorers
+
+    fits = []
+    fit = explorers.pseudo_inverse
+    monkeypatch.setattr(explorers, "pseudo_inverse", lambda jacobian: fits.append(1) or fit(jacobian))
+    largest = 1.2297829382473032e19
+    data = json.loads(demo_config.read_text())
+    for length, code in ((largest, 0), (math.nextafter(largest, math.inf), 1)):
+        data["environment"]["total_length"] = length
+        demo_config.write_text(json.dumps(data))
+        argv = ["run", "--config", str(demo_config), "--budget", "300", "--out", str(tmp_path / str(code))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+    assert fits
+
+
 def test_goal_babbling_arm_without_exploration_exits_one_quickly(demo_config, tmp_path):
     # With no local model, only explorative micro-actions collect data; this
     # pair once made the first reach spin forever.

@@ -164,7 +164,7 @@ def test_memory_grows_once_per_micro_action():
     assert len(memory) == out.micro_actions_used
 
 
-def test_hooks_called_once_per_micro_action():
+def test_hooks_called_once_per_reach_with_every_micro_action():
     world = two_dof_world()
     memory = EvolvingMemory(2, 2)
     rng = np.random.default_rng(6)
@@ -173,7 +173,30 @@ def test_hooks_called_once_per_micro_action():
         world, memory, world.rest_state(), np.array([10.0, 30.0]),
         ReachingBudget(velocity=1.0, explore_actions=6), COMP, rng=rng, hooks=seen.append,
     )
-    assert len(seen) == out.micro_actions_used
+    assert len(seen) == 1 and seen[0].shape == (out.micro_actions_used, 2)
+    assert out.micro_actions_used > 1
+    # The rows are the effector positions in execution order: the last is
+    # where the reach ended, and each is the forward kinematics of a stored
+    # context plus its applied action.
+    np.testing.assert_array_equal(seen[0][-1], out.final)
+    table = memory.table()
+    ends = [world.forward(row[:2] + row[2:4]) for row in table]
+    np.testing.assert_allclose(seen[0], ends, rtol=0, atol=1e-9)
+
+
+def test_hooks_get_no_rows_from_a_reach_that_does_not_move():
+    world = two_dof_world()
+    seen = []
+    at_start = reach_evolving(
+        world, EvolvingMemory(2, 2), world.rest_state(), world.rest_effector(),
+        ReachingBudget(), COMP, rng=np.random.default_rng(0), hooks=seen.append,
+    )
+    linear, rng = linear_world()
+    no_room = reach_fixed(
+        linear, FixedMemory(4, 2), np.zeros(2), ReachingBudget(), COMP, rng=rng, hooks=seen.append, allowance=0
+    )
+    assert at_start.micro_actions_used == no_room.micro_actions_used == 0
+    assert [block.shape for block in seen] == [(0, 2), (0, 2)]
 
 
 def test_blocking_counts_consecutive_stalled_phases():
@@ -243,8 +266,9 @@ def test_zero_noise_exploration_is_stationary():
     seen = []
     budget = ReachingBudget(velocity=1.0, explore_actions=5, explore_noise=0.0)
     reach_fixed(world, memory, far, budget, COMP, rng=rng, hooks=seen.append)
-    for outcome in seen[1:]:
-        np.testing.assert_array_equal(outcome, seen[1])
+    (outcomes,) = seen
+    for outcome in outcomes[1:]:
+        np.testing.assert_array_equal(outcome, outcomes[1])
 
 
 def test_goal_already_in_memory_is_reached_without_exploration():
@@ -291,8 +315,10 @@ def test_fixed_attempt_returns_best_rollout_and_grows_memory():
     budget = ReachingBudget(velocity=1.0, explore_actions=12, explore_noise=0.5)
     before = len(memory)
     out = reach_fixed(world, memory, goal, budget, COMP, rng=rng, hooks=seen.append)
-    assert len(memory) - before == out.micro_actions_used == len(seen)
-    distances = [np.linalg.norm(y - goal) for y in seen]
+    (outcomes,) = seen
+    assert len(memory) - before == out.micro_actions_used == len(outcomes)
+    np.testing.assert_array_equal(memory.effects[before:], outcomes)
+    distances = [np.linalg.norm(y - goal) for y in outcomes]
     assert np.linalg.norm(out.final - goal) == pytest.approx(min(distances))
 
 
@@ -339,6 +365,17 @@ def _reach_setup(reference, memory, spec, events):
     if reference:
         return memory, dict(learn=learn, events=events)
     return (memory if learn else NoInserts(memory)), {}
+
+
+def _reached_points(blocks, spec):
+    """The package's reach reports all its points in one block; the
+    reference reports them one at a time.  The rows of that block, for a
+    point-by-point comparison."""
+    if spec.get("hooks") is False:
+        assert blocks == []
+        return []
+    (block,) = blocks
+    return list(block)
 
 
 def _memory_state(memory):
@@ -421,7 +458,8 @@ def test_block_bursts_match_one_step_at_a_time(config_name, case):
                 allowance=spec.get("allowance"), **options,
             )
             runs.append((out, _memory_state(memory), points, stream.bit_generator.state))
-        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_points, got_state) = runs
+        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_blocks, got_state) = runs
+        got_points = _reached_points(got_blocks, spec)
         for field in ("final", "final_state"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
@@ -527,7 +565,8 @@ def test_block_hill_climb_matches_one_rollout_at_a_time(world_name, case):
                 allowance=spec.get("allowance"), **options,
             )
             runs.append((out, _fixed_memory_state(memory), points, stream.bit_generator.state))
-        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_points, got_state) = runs
+        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_blocks, got_state) = runs
+        got_points = _reached_points(got_blocks, spec)
         for field in ("final", "final_state"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert (got.gamma, got.micro_actions_used, got.terminated_by) == (

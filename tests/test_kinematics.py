@@ -148,6 +148,25 @@ def test_step_bounds_long_actions_as_its_batch_forms_do_bit_for_bit(joint_limit)
     assert np.linalg.norm(deltas, axis=1).max() > 2 * world.max_action_norm
 
 
+@pytest.mark.parametrize("low", [-0.3, 0.0])
+def test_step_sequence_that_leaves_the_joint_limits_mid_burst_equals_single_steps(low):
+    # Joint 0 stays inside its limits for four steps, passes the upper one
+    # at the fifth and walks on clamped.  Joint 1 rests at -0.0 and moves by
+    # -0.0, so with a lower limit of 0.0 the clamp turns its -0.0 into 0.0
+    # from the first step on.
+    world = ArmWorld(ArmGeometry(np.full(3, 10.0), np.full(3, low), np.full(3, 0.3)), rest_angle=-0.0)
+    deltas = np.array([[0.05, -0.0, 0.01]] * 4 + [[0.15, -0.0, 0.01]] + [[-0.05, -0.0, -0.02]] * 3)
+    alpha, effector = world.rest_state(), world.rest_effector()
+    seq_alphas, seq_effectors = world.step_sequence(alpha, deltas, effector)
+    for i, delta in enumerate(deltas):
+        walked = world.step(alpha, delta, effector)
+        assert walked.alpha.tobytes() == seq_alphas[i + 1].tobytes()
+        assert walked.effector_after.tobytes() == seq_effectors[i + 1].tobytes()
+        alpha, effector = walked.alpha, walked.effector_after
+    assert seq_alphas[4, 0] < 0.3 == seq_alphas[5, 0]
+    assert np.signbit(seq_alphas[1:, 1]).all() == (low < 0.0)
+
+
 def test_step_composition_is_linear_in_state_without_clamping():
     world = ArmWorld(ArmGeometry.equal_links(3, total_length=50.0))
     delta = np.array([0.01, -0.02, 0.015])

@@ -306,6 +306,66 @@ def test_query_many_with_no_keys():
     assert idx.shape == dist.shape == (0, 4)
 
 
+def _index_state(index, keys, k=3):
+    """The points, the indexed count, and every key's nearest by `query`
+    and `query_many`, as bytes."""
+    singles = [b"".join(part.tobytes() for part in index.query(key, k)) for key in keys]
+    idx, dist = index.query_many(keys, k)
+    return index.points.tobytes(), index._tree_n, singles, idx.tobytes(), dist.tobytes()
+
+
+@pytest.mark.parametrize(
+    "before, block, crossed",  # rebuilds every 8 rows
+    [(0, 0, 0), (3, 4, 0), (5, 3, 1), (5, 7, 1), (8, 8, 1), (5, 13, 2), (2, 30, 4)],
+)
+def test_add_many_equals_one_add_per_row(before, block, crossed):
+    rng = np.random.default_rng(before * 100 + block)
+    points = np.round(rng.normal(size=(before + block, 3)), 1)  # coarse: ties between rows
+    rows, blocks = NearestIndex(3, rebuild_every=8), NearestIndex(3, rebuild_every=8)
+    for point in points[:before]:
+        rows.add(point)
+        blocks.add(point)
+    for point in points[before:]:
+        rows.add(point)
+    blocks.add_many(points[before:])
+    assert (before + block) // 8 - before // 8 == crossed
+    # One add at a time rebuilds at every 8th row, so the tree holds the
+    # rows up to the last multiple of 8.
+    assert blocks._tree_n == rows._tree_n == (before + block) // 8 * 8
+    assert blocks.points.tobytes() == rows.points.tobytes()
+    if len(rows):
+        keys = np.vstack([points[:2], np.round(rng.normal(size=(4, 3)), 1)])
+        assert _index_state(blocks, keys) == _index_state(rows, keys)
+
+
+def _columns(memory, table):
+    """The columns of `table` as the arguments of the memory's `insert_many`."""
+    if isinstance(memory, EvolvingMemory):
+        return table[:, :3], table[:, 3:6], table[:, 6:]
+    return table[:, :3], table[:, 3:]
+
+
+@pytest.mark.parametrize("block, crossed", [(0, 0), (10, 0), (20, 1), (600, 2)])  # rebuilds every 512 rows
+@pytest.mark.parametrize("kind", [EvolvingMemory, FixedMemory])
+def test_insert_many_equals_one_insert_per_row(kind, block, crossed):
+    rng = np.random.default_rng(block)
+    rows, blocks = kind(3, 2), kind(3, 2)
+    table = np.round(rng.normal(size=(500 + block, rows.table().shape[1])), 1)
+    parts = _columns(rows, table)
+    for i in range(500 + block):
+        rows.insert(*(part[i] for part in parts))
+        if i < 500:
+            blocks.insert(*(part[i] for part in parts))
+    blocks.insert_many(*(part[500:] for part in parts))
+    assert (500 + block) // 512 - 500 // 512 == crossed
+    assert blocks.table().tobytes() == rows.table().tobytes()
+    indices = [(m._index,) if kind is EvolvingMemory else (m._effect_index, m._param_index) for m in (rows, blocks)]
+    for row_index, block_index in zip(*indices):
+        assert block_index._tree_n == (500 + block) // 512 * 512
+        keys = np.vstack([block_index.points[-2:], rng.normal(size=(3, block_index.dim))])
+        assert _index_state(block_index, keys) == _index_state(row_index, keys)
+
+
 def _stacked_and_single_fits(dim, neighbors, radius, seed):
     """`local_pseudo_inverses` over 80 contexts, and per context the single
     fit and its pseudo-inverse."""

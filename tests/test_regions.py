@@ -704,3 +704,94 @@ def test_leaf_columns_and_counters_equal_the_stream(data, tiny, max_depth, capac
     assert sorted(_left_to_right(tree.root), key=lambda leaf: leaf.slot) == leaves
     for point, owner in zip(points, owners):
         assert [leaves[s] for s in tree.admitting(point)] == [owner]
+
+
+# ------------------------------------------------- a block of records against one record per call
+
+def _tree_state(tree):
+    """Everything an update can change, as comparable values."""
+    n = len(tree.leaves())
+    leaves = [
+        (
+            leaf.slot, leaf.depth, leaf.bounds.low.tobytes(), leaf.bounds.high.tobytes(), leaf.count,
+            leaf.positions[: leaf.count].tobytes(), leaf.gammas[: leaf.count].tobytes(), leaf.shared_position,
+        )
+        for leaf in tree.leaves()
+    ]
+    cuts = (tree._cut_low[:, :n].tobytes(), tree._cut_high[:, :n].tobytes())
+    return (
+        leaves, tree._interests[:n].tobytes(), cuts, dict(tree.records_by_origin), tree.clipped_updates,
+        tree.rng.bit_generator.state,
+    )
+
+
+def _leaf_key(leaf):
+    return None if leaf is None else (leaf.slot, leaf.depth, leaf.bounds.low.tobytes(), leaf.is_leaf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    tiny=st.booleans(),
+    max_depth=st.sampled_from([1, 3, RegionTree.max_depth]),
+    capacity=st.integers(1, 6),
+    window=st.sampled_from([2, 4, 6]),
+)
+def test_update_many_equals_one_update_per_row(data, tiny, max_depth, capacity, window):
+    # Blocks of 0-12 rows, each with one gamma and origin, mixing fresh
+    # points, points outside the box (clipped), repeats and points on
+    # earlier cut values.  A tiny box holds only a few floats per side, so
+    # its leaves soon sit on one point or reach `max_depth`; small
+    # capacities split leaves inside a block.
+    low = np.array([1.0, -2.0])
+    extent = 8 * np.spacing(np.abs(low)) if tiny else np.array([1.0, 3.0])
+    box = Box(low, low + extent)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rows, blocks = (
+        RegionTree(box, rng=np.random.default_rng(seed), window=window, capacity=capacity, split_candidates=5)
+        for _ in range(2)
+    )
+    rows.max_depth = blocks.max_depth = max_depth
+    unit = st.floats(-0.5, 1.5)
+    seen = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        cuts = _internal_nodes(rows.root)
+        block = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            kind = data.draw(st.sampled_from(["fresh", "repeat", "cut"]))
+            if kind == "repeat" and seen:
+                point = seen[data.draw(st.integers(0, len(seen) - 1))].copy()
+            else:
+                point = low + np.array([data.draw(unit), data.draw(unit)]) * extent
+                if kind == "cut" and cuts:
+                    node = cuts[data.draw(st.integers(0, len(cuts) - 1))]
+                    point[node.split_dim] = node.split_value
+            block.append(point)
+            seen.append(point)
+        points = np.array(block).reshape(-1, 2)
+        gamma = data.draw(st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-1.0, 0.0))
+        origin = data.draw(st.sampled_from(list(RecordOrigin)))
+        last = None
+        for point in points:
+            last = rows.update(point, gamma, origin)
+        assert _leaf_key(blocks.update_many(points, gamma, origin)) == _leaf_key(last)
+        assert _tree_state(blocks) == _tree_state(rows)
+
+
+def test_update_many_splits_inside_a_block_as_one_update_per_row():
+    # One block fills the root many times over, so leaves split inside it;
+    # a second block reaches leaves at `max_depth`.
+    rng = np.random.default_rng(31)
+    rows, blocks = make_tree(seed=31, capacity=3), make_tree(seed=31, capacity=3)
+    for tree in (rows, blocks):
+        tree.max_depth = 4
+    first, second = rng.uniform(-0.2, 1.2, (60, 2)), rng.random((200, 2))
+    for points, gamma in ((first, -0.25), (second, -0.75)):
+        for point in points:
+            rows.update(point, gamma, RecordOrigin.EN_ROUTE)
+        blocks.update_many(points, gamma, RecordOrigin.EN_ROUTE)
+        assert _tree_state(blocks) == _tree_state(rows)
+    assert len(rows.leaves()) > 4 and {leaf.depth for leaf in rows.leaves()} >= {4}
+    assert rows.clipped_updates > 0
+    assert blocks.update_many(np.empty((0, 2)), -1.0, RecordOrigin.EN_ROUTE) is None
+    assert _tree_state(blocks) == _tree_state(rows)
