@@ -32,7 +32,7 @@ from .explorers import (
     reach_fixed,
     rest_reset_policy,
 )
-from .kinematics import ArmGeometry, ArmWorld, StepResult, SynergyWorld, forward_kinematics
+from .kinematics import ArmGeometry, ArmWorld, SynergyWorld, forward_kinematics
 from .memory import EmptyMemoryError, EvolvingMemory, FixedMemory
 from .regions import RecordOrigin, Region, RegionTree, interest_of
 from .rng import RngStreams, stream

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,14 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .evaluation import (
     CurvePoint, FractionRow, SignificanceRow, compare_strategies, default_checkpoints, evaluate, make_test_db
 )
-from .experiment import EvaluationRecord, RunLog, check_checkpoints, run_with_memory, world_adapter
+from .experiment import AttemptRecord, EvaluationRecord, RunLog, check_checkpoints, run_with_memory, world_adapter
 
 OUTPUT_ROOT_ENV = "GOALBABBLING_OUT"
+
+# The most goals a test database may hold (`testdb --count`, `compare
+# --db-count`): a million goals take 16 MB and 7-9 s to draw on a
+# 2-core VM, and scoring every checkpoint on them takes far longer.
+MAX_TEST_GOALS = 10**6
 
 
 def _out_dir(arg: str | None, default_name: str) -> Path:
@@ -101,8 +107,26 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _write_records(path: Path, record_type: type, records) -> None:
-    """One row per dataclass record, under its field names."""
-    _write_csv(path, [f.name for f in dataclasses.fields(record_type)], map(dataclasses.astuple, records))
+    """One row per dataclass record, under its field names; a field typed
+    as an array holds a point of the plane and fills two columns,
+    ``<name>_x`` and ``<name>_y``."""
+    hints = typing.get_type_hints(record_type)
+    names = [f.name for f in dataclasses.fields(record_type)]
+    points = {name for name in names if hints[name] is np.ndarray}
+    header = [column for name in names for column in ((f"{name}_x", f"{name}_y") if name in points else (name,))]
+    rows = (
+        [value for name in names for value in (getattr(r, name) if name in points else (getattr(r, name),))]
+        for r in records
+    )
+    _write_csv(path, header, rows)
+
+
+def _checked_count(value: int, flag: str) -> int:
+    """A test database size given to `flag`: at least 1 (with no test goals
+    nothing is scored) and at most ``MAX_TEST_GOALS``."""
+    if not 1 <= value <= MAX_TEST_GOALS:
+        raise ConfigError(f"{flag} must be between 1 and {MAX_TEST_GOALS} (the test database cap), got {value}")
+    return value
 
 
 def _parse_checkpoints(text: str, budget: int) -> list[int]:
@@ -116,22 +140,7 @@ def _parse_checkpoints(text: str, budget: int) -> list[int]:
 
 
 def write_run_outputs(log: RunLog, out: Path) -> None:
-    _write_csv(
-        out / "attempts.csv",
-        [
-            "attempt", "kind", "mode", "goal_x", "goal_y", "start_x", "start_y",
-            "final_x", "final_y", "gamma", "actions", "terminated_by",
-            "total_actions", "memory_size", "reachable",
-        ],
-        (
-            [
-                a.attempt, a.kind, a.mode, a.goal[0], a.goal[1], a.start[0], a.start[1],
-                a.final[0], a.final[1], a.gamma, a.actions, a.terminated_by,
-                a.total_actions, a.memory_size, a.reachable,
-            ]
-            for a in log.attempts
-        ),
-    )
+    _write_records(out / "attempts.csv", AttemptRecord, log.attempts)
     _write_csv(
         out / "goals.csv",
         ["attempt", "x", "y", "mode", "reachable"],
@@ -189,7 +198,9 @@ def _load_memory(path: str, config: ExperimentConfig, world):
 
 def cmd_run(args) -> int:
     config = load_config(args.config, seed=args.seed, budget=args.budget)
-    checkpoints = _parse_checkpoints(args.checkpoints, config.budget) if args.checkpoints else [config.budget]
+    checkpoints = [config.budget]
+    if args.checkpoints is not None:
+        checkpoints = _parse_checkpoints(args.checkpoints, config.budget)
     test_goals = _load_test_goals(args.testdb, config.build_world()) if args.testdb else None
     out = _checked_out(_out_dir(args.out, f"{Path(args.config).stem}_seed{config.seed}"), directory=True)
     log, memory = run_with_memory(config, checkpoints=checkpoints, test_goals=test_goals)
@@ -217,12 +228,17 @@ def cmd_compare(args) -> int:
     if len(configs) < 2 or len({c.strategy for c in configs}) < len(configs):
         raise ConfigError("--configs needs at least two configs, each with its own strategy")
     seeds = _parse_int_list(args.seeds, "--seeds")
+    if args.db_seed < 0:
+        raise ConfigError(f"--db-seed must be >= 0, got {args.db_seed}")
     if args.db_seed in seeds:
         raise ConfigError("test database seed must differ from every run seed")
-    if args.db_count < 1:
-        raise ConfigError(f"--db-count must be >= 1, got {args.db_count}")
+    _checked_count(args.db_count, "--db-count")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     budget = min(c.budget for c in configs)
-    checkpoints = _parse_checkpoints(args.checkpoints, budget) if args.checkpoints else default_checkpoints(budget)
+    checkpoints = default_checkpoints(budget)
+    if args.checkpoints is not None:
+        checkpoints = _parse_checkpoints(args.checkpoints, budget)
     out = _checked_out(_out_dir(args.out, "compare"), directory=True)
     world = configs[0].build_world()
     goals = make_test_db(world, args.db_count, args.db_seed)
@@ -278,8 +294,9 @@ def cmd_regions(args) -> int:
 
 def cmd_testdb(args) -> int:
     config = load_config(args.config)
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    _checked_count(args.count, "--count")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _checked_out(Path(args.out), directory=False)
     world = config.build_world()
     goals = make_test_db(world, args.count, args.seed)

@@ -14,12 +14,17 @@ exploration strategies are supported:
 Each family has one loop, ``_run_goal_babbling`` or ``_run_motor_babbling``,
 which runs in either world through a world adapter (``world_adapter``).  The
 adapter alone builds the world's memory (``new_memory``) and knows the state
-an action starts from, when it goes back to rest and how that is logged,
-where a goal attempt starts, which reach runs (``reach_evolving`` on the arm,
-``reach_fixed`` on the episodic map, looked up here at call time), how a
-snapshot of the learner reaches for test goals in pure exploitation
-(``exploit``), and for motor babbling the action box, the random draw, the
-prediction error and the insert.
+an action starts from, when it goes back to rest (``begin`` returns whether
+it did), where a goal attempt starts, which reach runs (``reach_evolving`` on
+the arm, ``reach_fixed`` on the episodic map, looked up here at call time),
+how a snapshot of the learner reaches for test goals in pure exploitation
+(``exploit``, which returns the final positions), and for motor babbling the
+action box, the random draw, the prediction error and the insert.
+
+Results come back as return values, and only the two loops (with their
+``_Checkpoints`` helper) write the ``RunLog``.  The goal-babbling loop alone
+credits its region tree: with ``conservation`` on, it records the ``path``
+of every reach as en-route points before it records the reach's target.
 """
 from __future__ import annotations
 
@@ -195,14 +200,11 @@ def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoi
     competence = competence_config(config)
     budget = reaching_budget(config)
 
-    def conserve(points: np.ndarray) -> None:
-        tree.update_many(points, max_competence(), RecordOrigin.EN_ROUTE)
-
-    hooks = conserve if config.conservation else None
     used = attempt = goals_made = idle = 0
     while used < config.budget:
         marks.collect(used, memory, tree, log)
-        adapter.begin(attempt, used, log)
+        if adapter.begin(attempt):
+            log.resets.append(used)
         goal, mode = strategy_goal(config, tree, streams.goals, goals_made)
         goals_made += 1
         log.goals.append(GoalEvent(attempt, goal, mode, adapter.world.within_reach(goal)))
@@ -213,14 +215,11 @@ def _run_goal_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpoi
                 break
             start = adapter.position()
             outcome = adapter.reach(
-                memory,
-                target,
-                budget,
-                competence,
-                rng=streams.exploration,
-                hooks=hooks,
-                allowance=config.budget - used,
+                memory, target, budget, competence, rng=streams.exploration, allowance=config.budget - used
             )
+            if config.conservation:
+                # En-route crediting: every point the reach passed through.
+                tree.update_many(outcome.path, max_competence(), RecordOrigin.EN_ROUTE)
             used += outcome.micro_actions_used
             spent += outcome.micro_actions_used
             kind = "goal" if i == len(targets) - 1 else "subgoal"
@@ -259,7 +258,8 @@ def _run_motor_babbling(config, adapter: _WorldAdapter, streams, marks: _Checkpo
     used = 0
     while used < config.budget:
         marks.collect(used, memory, tree=None, log=log)
-        adapter.begin(used, used, log)
+        if adapter.begin(used):
+            log.resets.append(used)
         if policy is None:
             adapter.babble(memory, adapter.random_action(streams.exploration), predict=False)
         else:
@@ -314,9 +314,11 @@ class _WorldAdapter:
     def __init__(self, config: ExperimentConfig, world):
         self.config, self.world = config, world
 
-    def begin(self, counter: int, used: int, log: RunLog) -> None:
+    def begin(self, counter: int) -> bool:
         """Called before each goal-babbling attempt (`counter` counts them)
-        and each motor-babbling action (`counter` is `used`)."""
+        and each motor-babbling action (`counter` counts them too); True
+        when the world went back to rest."""
+        return False
 
 
 class _ArmAdapter(_WorldAdapter):
@@ -337,10 +339,11 @@ class _ArmAdapter(_WorldAdapter):
             neighbors=config.regression_neighbors, support_radius=config.support_radius,
         )
 
-    def begin(self, counter: int, used: int, log: RunLog) -> None:
-        if rest_reset_policy(counter, self.period):
-            self.state, self.effector = self.world.rest_state(), self.world.rest_effector()
-            log.resets.append(used)
+    def begin(self, counter: int) -> bool:
+        if not rest_reset_policy(counter, self.period):
+            return False
+        self.state, self.effector = self.world.rest_state(), self.world.rest_effector()
+        return True
 
     def position(self) -> np.ndarray:
         return self.effector
@@ -350,9 +353,8 @@ class _ArmAdapter(_WorldAdapter):
         self.state, self.effector = outcome.final_state, outcome.final
         return outcome
 
-    def exploit(self, memory, goals, budget, competence) -> list[np.ndarray]:
-        outcomes = reach_evolving_lockstep(self.world, memory, self.world.rest_state(), goals, budget, competence)
-        return [outcome.final for outcome in outcomes]
+    def exploit(self, memory, goals, budget, competence) -> np.ndarray:
+        return reach_evolving_lockstep(self.world, memory, self.world.rest_state(), goals, budget, competence)
 
     def motor_box(self) -> Box:
         scale = np.full(self.world.n_dof, self.config.explore_scale)
@@ -364,16 +366,16 @@ class _ArmAdapter(_WorldAdapter):
 
     def babble(self, memory: EvolvingMemory, delta: np.ndarray, predict: bool):
         alpha = self.state
-        result = self.world.step(alpha, delta, self.effector)
-        applied = result.alpha - alpha
+        stepped, after = self.world.step(alpha, delta)
+        applied, displacement = stepped - alpha, after - self.effector
         point = error = None
         if predict:
             jacobian = memory.local_jacobian(alpha)
             predicted = jacobian @ applied if jacobian is not None else np.zeros(self.world.effect_dim)
-            error = float(np.linalg.norm(result.displacement - predicted))
+            error = float(np.linalg.norm(displacement - predicted))
             point = np.concatenate([alpha, applied])
-        memory.insert(alpha, applied, result.displacement)
-        self.state, self.effector = result.alpha, result.effector_after
+        memory.insert(alpha, applied, displacement)
+        self.state, self.effector = stepped, after
         return point, error
 
 
@@ -395,9 +397,9 @@ class _MapAdapter(_WorldAdapter):
     def reach(self, memory, target, budget, competence, **options):
         return reach_fixed(self.world, memory, target, budget, competence, **options)
 
-    def exploit(self, memory, goals, budget, competence) -> list[np.ndarray]:
+    def exploit(self, memory, goals, budget, competence) -> np.ndarray:
         if len(memory) == 0:
-            return [self.rest] * len(goals)
+            return np.tile(self.rest, (len(goals), 1))
         return self.world.rollout_many(np.clip(memory.local_inverses(goals)[0], 0.0, 1.0))
 
     def motor_box(self) -> Box:

@@ -17,11 +17,15 @@ Two reaching procedures share the same outcome contract:
 
 Every executed micro-action/rollout is inserted into memory exactly once:
 an arm burst as one block, and an episode's rollouts as one block when it
-ends.  When a reach ends, ``hooks`` (used for en-route crediting) is called
-once with the (rows x 2) array of the outcomes it executed, in execution
-order (no rows when it executed none).  The arm itself bounds the length
-of each micro-action and clamps its joints (``ArmWorld.step`` and its batch
-forms).
+ends.  Both return a ``ReachOutcome`` whose ``path`` holds the (rows x 2)
+outcomes the reach executed, in execution order (no rows when it executed
+none); the goal-babbling loop credits them to its region tree.  The arm
+itself bounds the length of each micro-action and clamps its joints
+(``ArmWorld.step`` and its batch forms).
+
+``reach_evolving_lockstep`` reaches for many goals at once in pure
+exploitation and returns only where each reach ended, which is all that
+evaluation reads.
 """
 from __future__ import annotations
 
@@ -80,6 +84,7 @@ class ReachOutcome:
     micro_actions_used: int
     terminated_by: str
     final_state: np.ndarray  # joint state (evolving) or best params (fixed)
+    path: np.ndarray  # (rows x 2) outcomes executed, in order
 
 
 def make_subgoals(start: np.ndarray, goal: np.ndarray, count: int) -> list[np.ndarray]:
@@ -122,7 +127,6 @@ def reach_evolving(
     budget: ReachingBudget,
     competence: CompetenceConfig,
     rng: np.random.Generator | None = None,
-    hooks=None,
     allowance: int | None = None,
 ) -> ReachOutcome:
     """Steer the arm from its current joint state toward `goal`."""
@@ -136,9 +140,7 @@ def reach_evolving(
         gamma = 0.0
         if terminated_by != REACHED:
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-        if hooks is not None:
-            hooks(np.concatenate(visited))
-        return ReachOutcome(current, gamma, steps, terminated_by, alpha.copy())
+        return ReachOutcome(current, gamma, steps, terminated_by, alpha.copy(), np.concatenate(visited))
 
     if clip_to_gamma(competence_normalized(goal, current, start, competence), competence) == 0.0:
         return _end(REACHED)
@@ -159,16 +161,17 @@ def reach_evolving(
         if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = world.step(alpha, pseudo_inverse(jacobian) @ desired, current)
+            stepped, after = world.step(alpha, pseudo_inverse(jacobian) @ desired)
+            displacement = after - current
             # The exemplar stores the actually-applied (post-clamp) increment.
-            memory.insert(alpha, result.alpha - alpha, result.displacement)
-            alpha, current = result.alpha, result.effector_after
+            memory.insert(alpha, stepped - alpha, displacement)
+            alpha, current = stepped, after
             visited.append(current[None])
             steps += 1
             best = min(best, euclidean(current, goal))
             if clip_to_gamma(competence_normalized(goal, current, start, competence), competence) == 0.0:
                 return _end(REACHED)
-            error = euclidean(result.displacement, desired)
+            error = euclidean(displacement, desired)
             explore = error > budget.prediction_error_max
         if explore:
             if budget.blocking_window:
@@ -217,27 +220,25 @@ def reach_evolving_lockstep(
     goals: np.ndarray,
     budget: ReachingBudget,
     competence: CompetenceConfig,
-) -> list[ReachOutcome]:
-    """A reach from `alpha` toward every row of `goals` that inserts
-    nothing, advancing all unfinished reaches by one micro-action per round.
+) -> np.ndarray:
+    """The final effector positions (goals x 2) of a reach from `alpha`
+    toward every row of `goals` that inserts nothing, advancing all
+    unfinished reaches by one micro-action per round.
 
     Pure exploitation only: ``explore_actions`` must be 0 and
     ``blocking_window`` positive, so no random number is drawn and the
-    reaches are independent.  Each outcome equals, bit for bit, the one
-    ``reach_evolving`` returns for its goal over a memory that drops its
-    inserts.
+    reaches are independent.  Row i equals, bit for bit, the ``final``
+    that ``reach_evolving`` returns for goal i over a memory that drops
+    its inserts.
     """
     if budget.explore_actions or not budget.blocking_window:
         raise ValueError("lockstep reaching needs explore_actions=0 and blocking_window>=1")
     goals = np.asarray(goals, dtype=float)
     count = goals.shape[0]
-    if count == 0:
-        return []
     start = world.forward(alpha)
     alphas = np.tile(alpha, (count, 1))
     currents = np.tile(start, (count, 1))
     steps = np.zeros(count, dtype=int)
-    ends = np.full(count, TIMEOUT, dtype=object)
     start_distance = scaled_distances(start, goals, competence)
     caps = np.array([budget.max_steps(float(d)) for d in start_distance], dtype=int)
     distance = np.sqrt(np.vecdot(currents - goals, currents - goals))
@@ -245,9 +246,7 @@ def reach_evolving_lockstep(
     last_mark = distance.copy()
     stalled = np.zeros(count, dtype=int)
     # A goal within min_start_distance of the start scores 0 at once.
-    at_start = start_distance < competence.min_start_distance
-    ends[at_start] = REACHED
-    active = np.flatnonzero(~at_start)
+    active = np.flatnonzero(~(start_distance < competence.min_start_distance))
 
     while True:
         active = active[steps[active] < caps[active]]
@@ -271,24 +270,14 @@ def reach_evolving_lockstep(
             miss = after - current - desired
             done[fitted] = reached
             explore[fitted] = ~reached & (np.sqrt(np.vecdot(miss, miss)) > budget.prediction_error_max)
-            ends[moving[reached]] = REACHED
         exploring = active[explore]
         stalled[exploring] = np.where(
             best[exploring] >= last_mark[exploring] - _PROGRESS_TOLERANCE, stalled[exploring] + 1, 0
         )
         last_mark[exploring] = best[exploring]
-        blocked = stalled[exploring] >= budget.blocking_window
-        done[explore] = blocked
-        ends[exploring[blocked]] = BLOCKED
+        done[explore] = stalled[exploring] >= budget.blocking_window
         active = active[~done]
-
-    outcomes = []
-    for i in range(count):
-        gamma = 0.0
-        if ends[i] != REACHED:
-            gamma = clip_to_gamma(competence_normalized(goals[i], currents[i], start, competence), competence)
-        outcomes.append(ReachOutcome(currents[i], gamma, int(steps[i]), ends[i], alphas[i]))
-    return outcomes
+    return currents
 
 
 def reach_fixed(
@@ -298,7 +287,6 @@ def reach_fixed(
     budget: ReachingBudget,
     competence: CompetenceConfig,
     rng: np.random.Generator | None = None,
-    hooks=None,
     allowance: int | None = None,
 ) -> ReachOutcome:
     """One episodic attempt: predict parameters for `goal`, then hill-climb.
@@ -319,17 +307,15 @@ def reach_fixed(
     # Blocks of the parameters and outcomes rolled out, in order.
     tried, seen = [np.empty((0, world.param_dim))], [np.empty((0, goal.shape[0]))]
 
-    def _end(outcome: ReachOutcome) -> ReachOutcome:
+    def _end(final: np.ndarray, gamma: float, rollouts: int, terminated_by: str, theta: np.ndarray) -> ReachOutcome:
         # Nothing reads the memory after the local inverse that starts the
         # episode, so its rollouts go in as one block when it ends.
-        outcomes = np.concatenate(seen)
-        memory.insert_many(np.concatenate(tried), outcomes)
-        if hooks is not None:
-            hooks(outcomes)
-        return outcome
+        path = np.concatenate(seen)
+        memory.insert_many(np.concatenate(tried), path)
+        return ReachOutcome(final, gamma, rollouts, terminated_by, theta, path)
 
     if cap <= 0:
-        return _end(ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5)))
+        return _end(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
 
     known_best: float | None = None
     if len(memory):
@@ -348,7 +334,7 @@ def reach_fixed(
     rollouts = 1
     best_theta, best_outcome, best_gamma = theta, outcome, gamma
     if gamma == 0.0:
-        return _end(ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta))
+        return _end(outcome, 0.0, rollouts, REACHED, best_theta)
 
     attempt_distance = scaled_distance(goal, outcome, competence)
     inefficient = known_best is None or attempt_distance > known_best
@@ -379,7 +365,7 @@ def reach_fixed(
                         # Leave the stream where drawing one row per rollout would.
                         rng.bit_generator.state = drawn
                         rng.uniform(-1.0, 1.0, (row, world.param_dim))
-                    return _end(ReachOutcome(best_outcome, 0.0, rollouts + row, REACHED, best_theta))
+                    return _end(best_outcome, 0.0, rollouts + row, REACHED, best_theta)
         rollouts += count
 
-    return _end(ReachOutcome(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta))
+    return _end(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)

@@ -91,19 +91,6 @@ def forward_kinematics_many(geometry: ArmGeometry, alphas: np.ndarray) -> np.nda
     return np.stack([np.vecdot(np.cos(acc), lengths), np.vecdot(np.sin(acc), lengths)], axis=1)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One micro-action: new joint state plus effector position before/after."""
-
-    alpha: np.ndarray
-    effector_before: np.ndarray
-    effector_after: np.ndarray
-
-    @property
-    def displacement(self) -> np.ndarray:
-        return self.effector_after - self.effector_before
-
-
 class PlanarWorld:
     """What both worlds share: a planar chain whose effector is the outcome."""
 
@@ -160,23 +147,17 @@ class ArmWorld(PlanarWorld):
     def forward(self, alpha: np.ndarray) -> np.ndarray:
         return forward_kinematics(self.geometry, alpha)
 
-    def step(self, alpha: np.ndarray, delta: np.ndarray, effector: np.ndarray | None = None) -> StepResult:
-        """Apply a joint increment: one longer than ``max_action_norm`` is
-        scaled onto that bound, and the result is clamped to the joint limits.
-
-        Both are silent; the displacement is measured on the actually
-        applied motion.  A caller that already holds the effector position
-        at `alpha` (``forward(alpha)``, as a previous step's
-        ``effector_after``) passes it as `effector`, which saves one
-        forward-kinematics pass; it becomes ``effector_before``.
-        """
-        before = forward_kinematics(self.geometry, alpha) if effector is None else effector
+    def step(self, alpha: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply a joint increment: the new joint state and its effector
+        position.  An increment longer than ``max_action_norm`` is scaled
+        onto that bound, and the result is clamped to the joint limits;
+        both are silent, so the applied increment is the new state less
+        `alpha`."""
         norm = math.sqrt(float(delta @ delta))
         if norm > self.max_action_norm:
             delta = delta * (self.max_action_norm / norm)
         new = np.clip(alpha + delta, self.geometry.joint_low, self.geometry.joint_high)
-        after = forward_kinematics(self.geometry, new)
-        return StepResult(new, before, after)
+        return new, forward_kinematics(self.geometry, new)
 
     def step_sequence(
         self, alpha: np.ndarray, deltas: np.ndarray, effector: np.ndarray

@@ -6,7 +6,10 @@ These are the oracles that the block bursts and block hill-climbs of
 evaluation.  The package's reaches always insert; a test gives them a
 ``NoInserts`` memory to compare against ``learn=False``.  The exploit step
 inverts the local Jacobian with the package's ``pseudo_inverse``, as the
-package does, so the oracles check the burst and lockstep logic.
+package does, so the oracles check the burst and lockstep logic.  Their
+``hooks`` see each executed outcome as it happens, one point at a time;
+the package's reaches return all of them at once as ``ReachOutcome.path``,
+and so do the oracles.
 """
 import math
 
@@ -46,29 +49,36 @@ def reference_reach_evolving(
     goal = np.asarray(goal, dtype=float)
     start = world.forward(alpha)
     current = start
+    steps = 0
+    visited = []
+
+    def outcome(gamma, terminated_by):
+        return ReachOutcome(current, gamma, steps, terminated_by, alpha.copy(), _path(visited, goal))
+
     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
     if gamma == 0.0:
-        return ReachOutcome(current, 0.0, 0, REACHED, alpha.copy())
+        return outcome(0.0, REACHED)
     cap = budget.max_steps(scaled_distance(start, goal, competence))
     if allowance is not None:
         cap = min(cap, allowance)
-    steps = 0
     best = euclidean(current, goal)
     last_mark = best
     stalled_phases = 0
 
     def advance(delta):
         nonlocal alpha, current, steps, best
-        result = world.step(alpha, delta)
+        stepped, after = world.step(alpha, delta)
+        displacement = after - current
         if learn:
-            memory.insert(alpha, result.alpha - alpha, result.displacement)
-        alpha = result.alpha
-        current = result.effector_after
+            memory.insert(alpha, stepped - alpha, displacement)
+        alpha = stepped
+        current = after
         steps += 1
+        visited.append(current)
         if hooks is not None:
             hooks(current)
         best = min(best, euclidean(current, goal))
-        return result
+        return displacement
 
     def clip_norm(vector, bound):
         norm = math.sqrt(float(vector @ vector))
@@ -80,21 +90,21 @@ def reference_reach_evolving(
         if jacobian is not None:
             distance = euclidean(current, goal)
             desired = (goal - current) * (min(budget.velocity, distance) / distance)
-            result = advance(pseudo_inverse(jacobian) @ desired)
+            displacement = advance(pseudo_inverse(jacobian) @ desired)
             gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
             if gamma == 0.0:
-                return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
-            explore = euclidean(result.displacement, desired) > budget.prediction_error_max
+                return outcome(0.0, REACHED)
+            explore = euclidean(displacement, desired) > budget.prediction_error_max
         if explore:
             if budget.blocking_window:
                 stalled_phases = stalled_phases + 1 if best >= last_mark - 1e-6 else 0
                 last_mark = best
                 if stalled_phases >= budget.blocking_window:
                     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                    return ReachOutcome(current, gamma, steps, BLOCKED, alpha.copy())
+                    return outcome(gamma, BLOCKED)
             if jacobian is None and not budget.explore_actions:
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-                return ReachOutcome(current, gamma, steps, BLOCKED, alpha.copy())
+                return outcome(gamma, BLOCKED)
             for row in range(budget.explore_actions):
                 if steps >= cap:
                     events.append("cut")
@@ -111,11 +121,11 @@ def reference_reach_evolving(
                 gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
                 if gamma == 0.0:
                     events.append("reached mid-burst" if row < budget.explore_actions - 1 else "reached")
-                    return ReachOutcome(current, 0.0, steps, REACHED, alpha.copy())
+                    return outcome(0.0, REACHED)
             else:
                 events.append("full")
     gamma = clip_to_gamma(competence_normalized(goal, current, start, competence), competence)
-    return ReachOutcome(current, gamma, steps, TIMEOUT, alpha.copy())
+    return outcome(gamma, TIMEOUT)
 
 
 def reference_reach_fixed(
@@ -129,8 +139,9 @@ def reference_reach_fixed(
     cap = 1 + budget.explore_actions
     if allowance is not None:
         cap = min(cap, allowance)
+    visited = []
     if cap <= 0:
-        return ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5))
+        return ReachOutcome(start, -1.0, 0, TIMEOUT, np.full(world.param_dim, 0.5), _path(visited, goal))
     known_best = None
     if len(memory):
         idx, _ = memory._effect_index.query(goal, 1)
@@ -144,6 +155,7 @@ def reference_reach_fixed(
         outcome = world.rollout(params)
         if learn:
             memory.insert(params, outcome)
+        visited.append(outcome)
         if hooks is not None:
             hooks(outcome)
         return outcome, clip_to_gamma(competence_normalized(goal, outcome, start, competence), competence)
@@ -152,7 +164,7 @@ def reference_reach_fixed(
     rollouts = 1
     best_theta, best_outcome, best_gamma = theta, outcome, gamma
     if gamma == 0.0:
-        return ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta)
+        return ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta, _path(visited, goal))
     if known_best is None or scaled_distance(goal, outcome, competence) > known_best:
         if cap == 1:
             events.append("no room")
@@ -172,8 +184,13 @@ def reference_reach_fixed(
                     events.append("improved mid-block")
             if gamma == 0.0:
                 events.append("reached mid-block" if rollouts < cap else "reached at the end")
-                return ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta)
+                return ReachOutcome(outcome, 0.0, rollouts, REACHED, best_theta, _path(visited, goal))
         if not improved and cap > 1:
             events.append("no improvement")
-    return ReachOutcome(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta)
+    return ReachOutcome(best_outcome, best_gamma, rollouts, TIMEOUT, best_theta, _path(visited, goal))
+
+
+def _path(points, goal):
+    """The executed outcomes, in order, as one (rows x 2) array."""
+    return np.array(points, dtype=float).reshape(len(points), goal.shape[0])
 

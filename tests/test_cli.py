@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from goalbabbling.cli import _read_csv, _write_csv, main
@@ -521,12 +524,21 @@ def test_output_root_env_var(demo_config, tmp_path, monkeypatch):
         (["run", "--config", "{tmp}/absent.json"], "{tmp}/absent.json"),
         (["run", "--config", "{tmp}"], "{tmp}"),
         (["compare", "--configs", "{demo}", "{tmp}", "--seeds", "1"], "{tmp}"),
+        (["testdb", "--config", "{demo}", "--count", "1000000000000", "--seed", "1", "--out", "{tmp}/db.csv"],
+         "--count"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-count", "100000000000"], "--db-count"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--jobs", "0"], "--jobs"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--jobs", "-3"], "--jobs"),
+        (["testdb", "--config", "{demo}", "--seed", "-1", "--out", "{tmp}/db.csv"], "--seed"),
+        (["compare", "--configs", "{demo}", "{other}", "--seeds", "1", "--db-seed", "-1"], "--db-seed"),
+        (["run", "--config", "{demo}", "--checkpoints", ""], "--checkpoints"),
     ],
     ids=["checkpoints-text", "checkpoints-negative", "seeds-text", "count-negative", "db-count-negative",
          "one-config", "duplicate-strategy", "run-checkpoint-past-budget", "compare-checkpoint-past-budget",
          "db-count-zero", "count-zero", "run-checkpoints-empty", "compare-checkpoints-empty", "seeds-empty",
          "budget-text", "config-missing", "unknown-subcommand", "config-absent", "config-a-directory",
-         "compare-config-a-directory"],
+         "compare-config-a-directory", "count-past-cap", "db-count-past-cap", "jobs-zero", "jobs-negative",
+         "testdb-seed-negative", "db-seed-negative", "run-checkpoints-blank"],
 )
 def test_bad_flag_values_exit_one_naming_the_flag(demo_config, tmp_path, capsys, args, flag):
     other = tmp_path / "random.json"
@@ -616,3 +628,65 @@ def test_written_tables_read_back_bit_for_bit(tmp_path_factory, shaped):
     read_header, read = _read_csv(path, "table")
     assert read_header == header
     assert read.shape == table.shape and read.tobytes() == table.tobytes()
+
+
+# Edge values for the count, seed and list flags: zero, negative, past
+# int64, past any test database, empty, separators only, text and a repeat.
+_FLAG_EDGES = ["0", "-1", str(2**63), str(10**12), "", ",", "x", "1,1"]
+_EDGE_FLAGS = {
+    "run": ("--seed", "--checkpoints"),
+    "testdb": ("--count", "--seed"),
+    "compare": ("--seeds", "--db-count", "--jobs", "--checkpoints", "--db-seed"),
+}
+# What a required flag gets when the example leaves it out.
+_REQUIRED = {"testdb": {"--seed": "1"}, "compare": {"--seeds": "1"}}
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    """The two-joint demo config and a random-goal copy of it."""
+    root = tmp_path_factory.mktemp("edges")
+    data = json.loads(bundled_config_path("arm2_demo").read_text())
+    (root / "demo.json").write_text(json.dumps(data))
+    (root / "random.json").write_text(json.dumps({**data, "strategy": "sagg_random"}))
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_EDGE_FLAGS)),
+    values=st.fixed_dictionaries(
+        {}, optional={flag: st.sampled_from(_FLAG_EDGES) for flags in _EDGE_FLAGS.values() for flag in flags}
+    ),
+    budget=st.integers(0, 50),
+)
+@example(command="run", values={"--seed": "-1"}, budget=50)
+@example(command="testdb", values={"--count": str(10**12)}, budget=0)
+@example(command="compare", values={"--db-count": str(10**11)}, budget=0)
+@example(command="compare", values={"--jobs": "0"}, budget=0)
+@example(command="compare", values={"--jobs": str(2**63), "--seeds": "0"}, budget=50)
+def test_edge_values_of_count_seed_and_list_flags_end_with_exit_zero_or_one(edge_dir, command, values, budget):
+    argv = {
+        "run": ["run", "--config", str(edge_dir / "demo.json"), "--budget", str(budget), "--out", str(edge_dir / "run")],
+        "testdb": ["testdb", "--config", str(edge_dir / "demo.json"), "--out", str(edge_dir / "db.csv")],
+        "compare": [
+            "compare", "--configs", str(edge_dir / "demo.json"), str(edge_dir / "random.json"),
+            "--budget", str(budget), "--out", str(edge_dir / "compare"),
+        ],
+    }[command]
+    flags = {**_REQUIRED.get(command, {}), **{f: v for f, v in values.items() if f in _EDGE_FLAGS[command]}}
+    for flag, value in flags.items():
+        argv += [f"{flag}={value}"]  # "=" keeps "-1" a value, not an option
+    err = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    elapsed = time.perf_counter() - started
+    event(f"{command} exit {code}")
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("config error:"), err.getvalue()
+    # A bad value is rejected before any work, and a good one runs at most
+    # 2 x 50 micro-actions: each example takes well under a second, and the
+    # bound catches a hang or work that grows with a value.
+    assert elapsed < 10.0, (argv, elapsed)

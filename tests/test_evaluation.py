@@ -148,19 +148,18 @@ def test_lockstep_evaluation_equals_per_goal_reaches_bitwise(name):
     # Empty; tail only; tree only with an empty tail; tree plus tail.
     for size in (0, 300, 1024, 1300):
         memory = _memory_prefix(trained, size)
-        outcomes = reach_evolving_lockstep(world, memory, world.rest_state(), goals, budget, competence)
-        errors = []
-        for goal, outcome in zip(goals, outcomes):
+        finals = reach_evolving_lockstep(world, memory, world.rest_state(), goals, budget, competence)
+        assert finals.shape == goals.shape
+        errors, ends = [], []
+        for goal, final in zip(goals, finals):
             expected = reference_reach_evolving(
                 world, memory, world.rest_state(), goal, budget, competence, learn=False
             )
-            assert np.array_equal(outcome.final, expected.final)
-            assert np.array_equal(outcome.final_state, expected.final_state)
-            assert outcome.gamma == expected.gamma
-            assert outcome.micro_actions_used == expected.micro_actions_used
-            assert outcome.terminated_by == expected.terminated_by
+            assert final.tobytes() == expected.final.tobytes()
+            ends.append((expected.terminated_by, expected.micro_actions_used))
             errors.append(float(np.sqrt((expected.final - goal) @ (expected.final - goal))))
-        assert outcomes[-2].terminated_by == "reached" and outcomes[-2].micro_actions_used == 0
+        # The goal at rest is reached at once; the goal out of reach is not.
+        assert ends[-2] == ("reached", 0) and ends[-1][0] != "reached"
         assert evaluate(memory, world, goals, config) == float(np.mean(errors))
 
 

@@ -39,12 +39,12 @@ def two_dof_world():
 def seeded_memory(world, steps=500, seed=42, neighbors=8, support_radius=0.5):
     memory = EvolvingMemory(world.n_dof, 2, neighbors=neighbors, support_radius=support_radius)
     rng = np.random.default_rng(seed)
-    alpha = world.rest_state()
+    alpha, effector = world.rest_state(), world.rest_effector()
     for _ in range(steps):
         delta = rng.uniform(-0.05, 0.05, world.n_dof)
-        result = world.step(alpha, delta)
-        memory.insert(alpha, result.alpha - alpha, result.displacement)
-        alpha = result.alpha
+        stepped, after = world.step(alpha, delta)
+        memory.insert(alpha, stepped - alpha, after - effector)
+        alpha, effector = stepped, after
     return memory
 
 
@@ -164,39 +164,35 @@ def test_memory_grows_once_per_micro_action():
     assert len(memory) == out.micro_actions_used
 
 
-def test_hooks_called_once_per_reach_with_every_micro_action():
+def test_path_holds_every_micro_action_in_execution_order():
     world = two_dof_world()
     memory = EvolvingMemory(2, 2)
     rng = np.random.default_rng(6)
-    seen = []
     out = reach_evolving(
         world, memory, world.rest_state(), np.array([10.0, 30.0]),
-        ReachingBudget(velocity=1.0, explore_actions=6), COMP, rng=rng, hooks=seen.append,
+        ReachingBudget(velocity=1.0, explore_actions=6), COMP, rng=rng,
     )
-    assert len(seen) == 1 and seen[0].shape == (out.micro_actions_used, 2)
+    assert out.path.shape == (out.micro_actions_used, 2)
     assert out.micro_actions_used > 1
     # The rows are the effector positions in execution order: the last is
     # where the reach ended, and each is the forward kinematics of a stored
     # context plus its applied action.
-    np.testing.assert_array_equal(seen[0][-1], out.final)
+    np.testing.assert_array_equal(out.path[-1], out.final)
     table = memory.table()
     ends = [world.forward(row[:2] + row[2:4]) for row in table]
-    np.testing.assert_allclose(seen[0], ends, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(out.path, ends, rtol=0, atol=1e-9)
 
 
-def test_hooks_get_no_rows_from_a_reach_that_does_not_move():
+def test_path_has_no_rows_for_a_reach_that_does_not_move():
     world = two_dof_world()
-    seen = []
     at_start = reach_evolving(
         world, EvolvingMemory(2, 2), world.rest_state(), world.rest_effector(),
-        ReachingBudget(), COMP, rng=np.random.default_rng(0), hooks=seen.append,
+        ReachingBudget(), COMP, rng=np.random.default_rng(0),
     )
     linear, rng = linear_world()
-    no_room = reach_fixed(
-        linear, FixedMemory(4, 2), np.zeros(2), ReachingBudget(), COMP, rng=rng, hooks=seen.append, allowance=0
-    )
+    no_room = reach_fixed(linear, FixedMemory(4, 2), np.zeros(2), ReachingBudget(), COMP, rng=rng, allowance=0)
     assert at_start.micro_actions_used == no_room.micro_actions_used == 0
-    assert [block.shape for block in seen] == [(0, 2), (0, 2)]
+    assert at_start.path.shape == no_room.path.shape == (0, 2)
 
 
 def test_blocking_counts_consecutive_stalled_phases():
@@ -227,9 +223,9 @@ def test_exploit_mode_inserts_nothing():
     memory = seeded_memory(world, steps=200)
     size = len(memory)
     budget = ReachingBudget(velocity=1.0, explore_actions=0, blocking_window=1)
-    (out,) = reach_evolving_lockstep(world, memory, world.rest_state(), np.array([[5.0, 30.0]]), budget, COMP)
+    finals = reach_evolving_lockstep(world, memory, world.rest_state(), np.array([[5.0, 30.0]]), budget, COMP)
     assert len(memory) == size
-    assert out.terminated_by in (REACHED, TIMEOUT, BLOCKED)
+    assert finals.shape == (1, 2) and np.isfinite(finals).all()
 
 
 # ---------------------------------------------------------------- reach_fixed
@@ -259,16 +255,16 @@ def linear_world(seed=3):
 
 
 def test_zero_noise_exploration_is_stationary():
+    # An empty memory holds no known best, so the hill-climb always runs
+    # (one stored outcome would be predicted back and end the episode); the
+    # goal is out of reach, so it runs to the end.
     world, rng = linear_world()
-    memory = FixedMemory(4, 2)
-    far = np.array([50.0, 50.0])  # force the inefficiency path
-    memory.insert(np.full(4, 0.25), world.rollout(np.full(4, 0.25)))
-    seen = []
+    far = np.array([50.0, 50.0])
     budget = ReachingBudget(velocity=1.0, explore_actions=5, explore_noise=0.0)
-    reach_fixed(world, memory, far, budget, COMP, rng=rng, hooks=seen.append)
-    (outcomes,) = seen
+    outcomes = reach_fixed(world, FixedMemory(4, 2), far, budget, COMP, rng=rng).path
+    assert len(outcomes) == 6
     for outcome in outcomes[1:]:
-        np.testing.assert_array_equal(outcome, outcomes[1])
+        np.testing.assert_array_equal(outcome, outcomes[0])
 
 
 def test_goal_already_in_memory_is_reached_without_exploration():
@@ -311,11 +307,10 @@ def test_fixed_attempt_returns_best_rollout_and_grows_memory():
     memory = FixedMemory(4, 2)
     memory.insert(np.full(4, 0.9), world.rollout(np.full(4, 0.9)))
     goal = np.array([30.0, -30.0])  # unreachable: exploration runs fully
-    seen = []
     budget = ReachingBudget(velocity=1.0, explore_actions=12, explore_noise=0.5)
     before = len(memory)
-    out = reach_fixed(world, memory, goal, budget, COMP, rng=rng, hooks=seen.append)
-    (outcomes,) = seen
+    out = reach_fixed(world, memory, goal, budget, COMP, rng=rng)
+    outcomes = out.path
     assert len(memory) - before == out.micro_actions_used == len(outcomes)
     np.testing.assert_array_equal(memory.effects[before:], outcomes)
     distances = [np.linalg.norm(y - goal) for y in outcomes]
@@ -357,25 +352,26 @@ def test_gammas_equal_the_scalar_competence(competence):
 
 # ------------------------------------------------- block bursts vs one step at a time
 
-def _reach_setup(reference, memory, spec, events):
+def _reach_setup(reference, memory, spec, events, points):
     """The memory a reach gets and its extra options: the reference learns
-    unless the case says otherwise and reports `events`; a case without
-    learning gives the package's reach a memory that drops its inserts."""
+    unless the case says otherwise, reports `events` and, unless the case
+    turns its hook off, hands each executed outcome to `points`; a case
+    without learning gives the package's reach a memory that drops its
+    inserts."""
     learn = spec.get("learn", True)
     if reference:
-        return memory, dict(learn=learn, events=events)
+        hooks = None if spec.get("hooks") is False else points.append
+        return memory, dict(learn=learn, events=events, hooks=hooks)
     return (memory if learn else NoInserts(memory)), {}
 
 
-def _reached_points(blocks, spec):
-    """The package's reach reports all its points in one block; the
-    reference reports them one at a time.  The rows of that block, for a
-    point-by-point comparison."""
-    if spec.get("hooks") is False:
-        assert blocks == []
-        return []
-    (block,) = blocks
-    return list(block)
+def _check_path(got, ref, ref_points, spec):
+    """The package's reach returns all its points at once as its path; the
+    reference's hook sees them one at a time.  Both agree bit for bit; with
+    the hook off, the path equals the reference's own."""
+    expected = ref.path if spec.get("hooks") is False else np.array(ref_points).reshape(len(ref_points), 2)
+    assert got.path.shape == expected.shape == (got.micro_actions_used, 2)
+    assert got.path.tobytes() == expected.tobytes()
 
 
 def _memory_state(memory):
@@ -395,8 +391,8 @@ def _far_memory(world, config, count, seed=0):
         alpha = rng.uniform(low, high)
         while np.linalg.norm(alpha - world.rest_state()) < 4 * config.support_radius:
             alpha = rng.uniform(low, high)
-        result = world.step(alpha, rng.uniform(-0.05, 0.05, world.n_dof))
-        memory.insert(alpha, result.alpha - alpha, result.displacement)
+        stepped, after = world.step(alpha, rng.uniform(-0.05, 0.05, world.n_dof))
+        memory.insert(alpha, stepped - alpha, after - world.forward(alpha))
     return memory
 
 
@@ -451,15 +447,13 @@ def test_block_bursts_match_one_step_at_a_time(config_name, case):
             memory = make_memory()
             stream = np.random.default_rng(1000 + trial)
             points = []
-            target, options = _reach_setup(reach is reference_reach_evolving, memory, spec, events)
+            target, options = _reach_setup(reach is reference_reach_evolving, memory, spec, events, points)
             out = reach(
-                world, target, alpha, goal, budget, competence, rng=stream,
-                hooks=None if spec.get("hooks") is False else points.append,
-                allowance=spec.get("allowance"), **options,
+                world, target, alpha, goal, budget, competence, rng=stream, allowance=spec.get("allowance"), **options
             )
             runs.append((out, _memory_state(memory), points, stream.bit_generator.state))
-        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_blocks, got_state) = runs
-        got_points = _reached_points(got_blocks, spec)
+        (ref, ref_memory, ref_points, ref_state), (got, got_memory, _, got_state) = runs
+        _check_path(got, ref, ref_points, spec)
         for field in ("final", "final_state"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
@@ -467,8 +461,6 @@ def test_block_bursts_match_one_step_at_a_time(config_name, case):
         )
         for got_part, ref_part in zip(got_memory, ref_memory):
             assert np.array_equal(got_part, ref_part)
-        assert len(got_points) == len(ref_points)
-        assert all(np.array_equal(a, b) for a, b in zip(got_points, ref_points))
         assert got_state == ref_state
         ends.add(got.terminated_by)
         rebuilt |= got_memory[4] > ref_memory[4] - got.micro_actions_used
@@ -558,15 +550,11 @@ def test_block_hill_climb_matches_one_rollout_at_a_time(world_name, case):
             memory = make_memory()
             stream = np.random.default_rng(2000 + trial)
             points = []
-            target, options = _reach_setup(reach is reference_reach_fixed, memory, spec, events)
-            out = reach(
-                world, target, goal, budget, competence, rng=stream,
-                hooks=None if spec.get("hooks") is False else points.append,
-                allowance=spec.get("allowance"), **options,
-            )
+            target, options = _reach_setup(reach is reference_reach_fixed, memory, spec, events, points)
+            out = reach(world, target, goal, budget, competence, rng=stream, allowance=spec.get("allowance"), **options)
             runs.append((out, _fixed_memory_state(memory), points, stream.bit_generator.state))
-        (ref, ref_memory, ref_points, ref_state), (got, got_memory, got_blocks, got_state) = runs
-        got_points = _reached_points(got_blocks, spec)
+        (ref, ref_memory, ref_points, ref_state), (got, got_memory, _, got_state) = runs
+        _check_path(got, ref, ref_points, spec)
         for field in ("final", "final_state"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert (got.gamma, got.micro_actions_used, got.terminated_by) == (
@@ -575,8 +563,6 @@ def test_block_hill_climb_matches_one_rollout_at_a_time(world_name, case):
         assert type(got.gamma) is float
         for got_part, ref_part in zip(got_memory, ref_memory):
             assert np.array_equal(got_part, ref_part)
-        assert len(got_points) == len(ref_points)
-        assert all(np.array_equal(a, b) for a, b in zip(got_points, ref_points))
         assert got_state == ref_state
         rebuilt |= got_memory[2] > size
     expected = {

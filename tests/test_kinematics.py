@@ -80,8 +80,9 @@ def clamps(world, alpha, delta) -> bool:
 
 def test_step_identity():
     world = ArmWorld(ArmGeometry.equal_links(2, total_length=50.0))
-    result = world.step(np.zeros(2), np.zeros(2))
-    np.testing.assert_allclose(result.displacement, [0.0, 0.0], atol=0)
+    stepped, effector = world.step(np.zeros(2), np.zeros(2))
+    np.testing.assert_array_equal(stepped, np.zeros(2))
+    np.testing.assert_allclose(effector - world.forward(np.zeros(2)), [0.0, 0.0], atol=0)
     assert not clamps(world, np.zeros(2), np.zeros(2))
 
 
@@ -89,36 +90,21 @@ def test_step_matches_finite_difference_of_oracle():
     # First-order response of the extended 2-link arm to a tiny base rotation.
     world = ArmWorld(ArmGeometry.equal_links(2, total_length=50.0))
     eps = 1e-6
-    result = world.step(np.zeros(2), np.array([eps, 0.0]))
+    _, effector = world.step(np.zeros(2), np.array([eps, 0.0]))
+    displacement = effector - world.forward(np.zeros(2))
     expected = oracle_fk([25.0, 25.0], [eps, 0.0]) - oracle_fk([25.0, 25.0], [0.0, 0.0])
-    np.testing.assert_allclose(result.displacement, expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(displacement, expected, rtol=1e-12, atol=1e-15)
     # First-order prediction: the quadratic remainder is O(L * eps^2).
-    np.testing.assert_allclose(result.displacement, [0.0, 50.0 * eps], rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(displacement, [0.0, 50.0 * eps], rtol=1e-6, atol=1e-9)
 
 
 def test_step_clamps_at_joint_limit():
     geometry = ArmGeometry.equal_links(2, total_length=50.0, joint_limit=1.0)
     world = ArmWorld(geometry, rest_angle=0.0)
-    result = world.step(np.array([1.0, 0.0]), np.array([0.1, 0.0]))
+    stepped, effector = world.step(np.array([1.0, 0.0]), np.array([0.1, 0.0]))
     assert clamps(world, np.array([1.0, 0.0]), np.array([0.1, 0.0]))
-    assert result.alpha[0] == 1.0
-
-
-@pytest.mark.parametrize("joint_limit", [math.pi, 0.4])  # 0.4 clamps most steps
-def test_step_with_start_effector_equals_step_without(joint_limit):
-    world = ArmWorld(ArmGeometry.golden_links(15, total_length=50.0, joint_limit=joint_limit), rest_angle=0.0)
-    rng = np.random.default_rng(21)
-    alpha, effector = world.rest_state(), world.rest_effector()
-    clamped = 0
-    for _ in range(200):
-        delta = rng.uniform(-0.2, 0.2, world.n_dof)
-        plain = world.step(alpha, delta)
-        carried = world.step(alpha, delta, effector)
-        clamped += clamps(world, alpha, delta)
-        for name in ("alpha", "effector_before", "effector_after", "displacement"):
-            assert getattr(carried, name).tobytes() == getattr(plain, name).tobytes()
-        alpha, effector = carried.alpha, carried.effector_after
-    assert (clamped > 100) == (joint_limit < 1.0)
+    assert stepped[0] == 1.0
+    assert effector.tobytes() == world.forward(stepped).tobytes()
 
 
 @pytest.mark.parametrize("joint_limit", [math.pi, 0.4])  # 0.4 clamps most steps
@@ -134,17 +120,16 @@ def test_step_bounds_long_actions_as_its_batch_forms_do_bit_for_bit(joint_limit)
     start = world.rest_state()
     seq_alphas, seq_effectors = world.step_sequence(start, deltas, world.rest_effector())
     assert np.array_equal(deltas, drawn)  # the batch forms leave their input alone
-    alpha, effector = start, world.rest_effector()
+    alpha = start
     for i, delta in enumerate(deltas):
-        one = world.step(alphas[i], delta)
-        assert one.alpha.tobytes() == many_alphas[i].tobytes()
-        assert one.effector_after.tobytes() == many_effectors[i].tobytes()
-        applied = one.alpha - alphas[i]
+        one, one_effector = world.step(alphas[i], delta)
+        assert one.tobytes() == many_alphas[i].tobytes()
+        assert one_effector.tobytes() == many_effectors[i].tobytes()
+        applied = one - alphas[i]
         assert math.sqrt(float(applied @ applied)) <= world.max_action_norm * (1 + 1e-12)
-        walked = world.step(alpha, delta, effector)
-        assert walked.alpha.tobytes() == seq_alphas[i + 1].tobytes()
-        assert walked.effector_after.tobytes() == seq_effectors[i + 1].tobytes()
-        alpha, effector = walked.alpha, walked.effector_after
+        alpha, effector = world.step(alpha, delta)
+        assert alpha.tobytes() == seq_alphas[i + 1].tobytes()
+        assert effector.tobytes() == seq_effectors[i + 1].tobytes()
     assert np.linalg.norm(deltas, axis=1).max() > 2 * world.max_action_norm
 
 
@@ -159,10 +144,9 @@ def test_step_sequence_that_leaves_the_joint_limits_mid_burst_equals_single_step
     alpha, effector = world.rest_state(), world.rest_effector()
     seq_alphas, seq_effectors = world.step_sequence(alpha, deltas, effector)
     for i, delta in enumerate(deltas):
-        walked = world.step(alpha, delta, effector)
-        assert walked.alpha.tobytes() == seq_alphas[i + 1].tobytes()
-        assert walked.effector_after.tobytes() == seq_effectors[i + 1].tobytes()
-        alpha, effector = walked.alpha, walked.effector_after
+        alpha, effector = world.step(alpha, delta)
+        assert alpha.tobytes() == seq_alphas[i + 1].tobytes()
+        assert effector.tobytes() == seq_effectors[i + 1].tobytes()
     assert seq_alphas[4, 0] < 0.3 == seq_alphas[5, 0]
     assert np.signbit(seq_alphas[1:, 1]).all() == (low < 0.0)
 
@@ -173,7 +157,7 @@ def test_step_composition_is_linear_in_state_without_clamping():
     alpha = np.array([0.2, 0.3, -0.1])
     stepped = alpha
     for _ in range(4):
-        stepped = world.step(stepped, delta).alpha
+        stepped, _ = world.step(stepped, delta)
     np.testing.assert_allclose(stepped, alpha + 4 * delta, atol=1e-12)
 
 
